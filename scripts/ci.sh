@@ -12,6 +12,12 @@
 #                          # running the service/concurrency suites
 #   scripts/ci.sh --asan   # additionally: AddressSanitizer build (build-asan/)
 #                          # running the same suites (store stress included)
+#   scripts/ci.sh --bench  # additionally: benchmark determinism self-check
+#                          # (benchmark/run.sh --selfcheck, Release build in
+#                          # build-bench/): smoke runs of every maliva_bench
+#                          # workload twice at seed 1 must give identical
+#                          # decision digests and exact metrics, and a seed-2
+#                          # run must give different digests (~1 min)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -60,18 +66,20 @@ check_docs() {
 
 run_tsan=0
 run_asan=0
+run_bench=0
 docs_only=0
 for arg in "$@"; do
   case "$arg" in
     --docs) docs_only=1 ;;
     --tsan) run_tsan=1 ;;
     --asan) run_asan=1 ;;
-    *) echo "unknown option: $arg (supported: --docs, --tsan, --asan)" >&2; exit 2 ;;
+    --bench) run_bench=1 ;;
+    *) echo "unknown option: $arg (supported: --docs, --tsan, --asan, --bench)" >&2; exit 2 ;;
   esac
 done
 
 check_docs
-if [[ "$docs_only" == 1 && "$run_tsan" == 0 && "$run_asan" == 0 ]]; then
+if [[ "$docs_only" == 1 && "$run_tsan" == 0 && "$run_asan" == 0 && "$run_bench" == 0 ]]; then
   exit 0
 fi
 
@@ -204,4 +212,11 @@ if [[ "$run_asan" == 1 ]]; then
   ASAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
       -R "$sanitizer_suites"
+fi
+
+if [[ "$run_bench" == 1 ]]; then
+  # Benchmark leg: the decision digests maliva_bench reports are a function
+  # of the seed alone, so a change that keeps decisions must keep them.
+  echo "== benchmark self-check: benchmark/run.sh --selfcheck =="
+  benchmark/run.sh --selfcheck
 fi

@@ -12,7 +12,10 @@ std::string PlanSpec::ToString(size_t num_predicates) const {
     out += ((index_mask >> i) & 1u) ? '1' : '0';
   }
   out += std::string(" join=") + JoinMethodName(join_method);
-  if (approx.IsApproximate()) out += " " + approx.ToString();
+  if (approx.IsApproximate()) {
+    out.push_back(' ');
+    approx.AppendTo(&out);
+  }
   out += "]";
   return out;
 }

@@ -159,6 +159,67 @@ const TableEntry* Engine::FindEntry(const std::string& name) const {
   return it == catalog_.end() ? nullptr : &it->second;
 }
 
+namespace {
+
+/// The named column of `table` when it exists with one of `types`.
+Status CheckColumn(const Table& table, const std::string& column,
+                   std::initializer_list<ColumnType> types, const char* role) {
+  Result<size_t> idx = table.ColumnIndex(column);
+  if (!idx.ok()) {
+    return Status::InvalidArgument(std::string(role) + ": no column '" + column +
+                                   "' in table '" + table.name() + "'");
+  }
+  ColumnType type = table.ColumnAt(idx.value()).type();
+  if (std::find(types.begin(), types.end(), type) == types.end()) {
+    return Status::InvalidArgument(std::string(role) + ": column '" + table.name() + "." +
+                                   column + "' has type " + ColumnTypeName(type));
+  }
+  return Status::OK();
+}
+
+Status CheckPredicates(const Table& table, const std::vector<Predicate>& preds) {
+  for (const Predicate& p : preds) {
+    switch (p.type) {
+      case PredicateType::kKeyword:
+        MALIVA_RETURN_NOT_OK(CheckColumn(table, p.column, {ColumnType::kText},
+                                         "keyword predicate"));
+        break;
+      case PredicateType::kTimeRange:
+      case PredicateType::kNumericRange:
+        MALIVA_RETURN_NOT_OK(CheckColumn(
+            table, p.column, {ColumnType::kInt64, ColumnType::kDouble, ColumnType::kTimestamp},
+            "range predicate"));
+        break;
+      case PredicateType::kSpatialBox:
+        MALIVA_RETURN_NOT_OK(
+            CheckColumn(table, p.column, {ColumnType::kPoint}, "spatial predicate"));
+        break;
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Status Engine::ValidateQuery(const Query& query) const {
+  const TableEntry* entry = FindEntry(query.table);
+  if (entry == nullptr) return Status::InvalidArgument("no table '" + query.table + "'");
+  const Table& table = *entry->table;
+  MALIVA_RETURN_NOT_OK(CheckPredicates(table, query.predicates));
+  if (!query.output_column.empty() || query.output == OutputKind::kHeatmap) {
+    MALIVA_RETURN_NOT_OK(
+        CheckColumn(table, query.output_column, {ColumnType::kPoint}, "output column"));
+  }
+  if (!query.join.has_value()) return Status::OK();
+  const JoinSpec& js = *query.join;
+  const TableEntry* right = FindEntry(js.right_table);
+  if (right == nullptr) return Status::InvalidArgument("no join table '" + js.right_table + "'");
+  MALIVA_RETURN_NOT_OK(CheckColumn(table, js.left_key, {ColumnType::kInt64}, "join key"));
+  MALIVA_RETURN_NOT_OK(
+      CheckColumn(*right->table, js.right_key, {ColumnType::kInt64}, "join key"));
+  return CheckPredicates(*right->table, js.right_predicates);
+}
+
 double Engine::TrueSelectivityOnEntry(const TableEntry& entry,
                                       const Predicate& pred) const {
   size_t n = entry.table->NumRows();

@@ -75,6 +75,15 @@ class Engine {
   /// Looks up a table entry; nullptr when absent.
   const TableEntry* FindEntry(const std::string& name) const;
 
+  /// Checks `query` against the catalog: its table and join table exist,
+  /// every predicate names a column of a type the predicate can filter
+  /// (keyword: text; time/numeric range: int64, double or timestamp;
+  /// spatial box: point), a non-empty output column is a point column (a
+  /// heatmap needs one), and the join keys are int64 columns.
+  /// InvalidArgument names the first violation. Execution and selectivity
+  /// probing assume a query that passes.
+  Status ValidateQuery(const Query& query) const;
+
   /// Executes a rewritten query. When the option leaves choices open
   /// (index_mask unset / join method unset), the optimizer resolves them —
   /// this is exactly the no-rewriting baseline behaviour.

@@ -49,8 +49,13 @@ RTreeIndex::RTreeIndex(const Table& table, const std::string& column) : column_(
     leaf.leaf = true;
     leaf.first = i;
     leaf.last = std::min(n, i + kFanout);
+    leaf.entries_first = leaf.first;
+    leaf.entries_last = leaf.last;
     leaf.box = BoundingBox{points_[i].lon, points_[i].lat, points_[i].lon, points_[i].lat};
     for (size_t j = leaf.first; j < leaf.last; ++j) leaf.box = leaf.box.Extend(points_[j]);
+    for (size_t j = leaf.first; j < leaf.last; ++j) {
+      leaf.box_covers_entries = leaf.box_covers_entries && leaf.box.Contains(points_[j]);
+    }
     nodes_.push_back(leaf);
   }
   height_ = 1;
@@ -63,9 +68,12 @@ RTreeIndex::RTreeIndex(const Table& table, const std::string& column) : column_(
       inner.leaf = false;
       inner.first = i;
       inner.last = std::min(level_last, i + kFanout);
+      inner.entries_first = nodes_[inner.first].entries_first;
+      inner.entries_last = nodes_[inner.last - 1].entries_last;
       inner.box = nodes_[inner.first].box;
       for (size_t j = inner.first; j < inner.last; ++j) {
         inner.box = inner.box.Union(nodes_[j].box);
+        inner.box_covers_entries = inner.box_covers_entries && nodes_[j].box_covers_entries;
       }
       nodes_.push_back(inner);
     }
@@ -98,11 +106,24 @@ RowIdList RTreeIndex::Query(const BoundingBox& box) const {
   return out;
 }
 
-size_t RTreeIndex::Count(const BoundingBox& box) const {
+size_t RTreeIndex::CountNode(const BoundingBox& box, size_t node_idx) const {
+  const Node& node = nodes_[node_idx];
+  if (!box.Intersects(node.box)) return 0;
+  if (node.box_covers_entries && box.ContainsBox(node.box)) {
+    return node.entries_last - node.entries_first;
+  }
   size_t count = 0;
-  if (points_.empty()) return count;
-  Traverse(box, nodes_.size() - 1, [&](RowId) { ++count; });
+  if (node.leaf) {
+    for (size_t i = node.first; i < node.last; ++i) count += box.Contains(points_[i]);
+    return count;
+  }
+  for (size_t c = node.first; c < node.last; ++c) count += CountNode(box, c);
   return count;
+}
+
+size_t RTreeIndex::Count(const BoundingBox& box) const {
+  if (points_.empty()) return 0;
+  return CountNode(box, nodes_.size() - 1);
 }
 
 }  // namespace maliva

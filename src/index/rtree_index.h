@@ -26,7 +26,9 @@ class RTreeIndex {
   /// Sorted row ids whose point lies inside `box` (inclusive).
   RowIdList Query(const BoundingBox& box) const;
 
-  /// Number of matching rows (same traversal, no materialization of misses).
+  /// Number of matching rows; equals Query(box).size(). Subtrees whose box
+  /// lies inside `box` are counted from their entry range without visiting
+  /// their points, so only nodes straddling the query edge are descended.
   size_t Count(const BoundingBox& box) const;
 
   /// Bounding box of all indexed points.
@@ -42,11 +44,20 @@ class RTreeIndex {
     // for internal nodes, [first, last) into nodes_.
     size_t first = 0;
     size_t last = 0;
+    // Entry slots of the whole subtree. STR packing lays every subtree out
+    // contiguously, so this is one range (equal to [first, last) for leaves).
+    size_t entries_first = 0;
+    size_t entries_last = 0;
     bool leaf = true;
+    // Every entry of the subtree lies inside `box`. False when the subtree
+    // holds a NaN coordinate: BoundingBox::Extend drops NaN, so such a box
+    // does not cover its own points and Count must not trust it.
+    bool box_covers_entries = true;
   };
 
   template <typename Visit>
   void Traverse(const BoundingBox& box, size_t node_idx, Visit&& visit) const;
+  size_t CountNode(const BoundingBox& box, size_t node_idx) const;
 
   std::string column_;
   std::vector<GeoPoint> points_;   // copy of indexed points, by entry slot

@@ -20,8 +20,8 @@ QteEstimate AccurateQte::Estimate(const QteContext& ctx, size_t ro_index,
   // windows (no estimate, cost, or result changes: byte-identity holds).
   {
     ProfilerSimpleGuard ladder_span(cache->profiler(), QueryProfiler::kSelectivity);
-    for (size_t slot : ctx.NeededSlots(ro_index)) {
-      if (cache->Has(slot)) continue;
+    ForEachSlot(ctx.NeededSlotMask(ro_index), [&](size_t slot) {
+      if (cache->Has(slot)) return;
       QteContext::SlotTarget target = ctx.SlotTargetFor(slot);
       Result<double> sel = ctx.engine->TrueSelectivity(*target.table, *target.pred);
       cache->Set(slot, sel.ok() ? sel.value() : 0.0);
@@ -29,7 +29,7 @@ QteEstimate AccurateQte::Estimate(const QteContext& ctx, size_t ro_index,
       if (ctx.tier != nullptr && sel.ok()) {
         ctx.tier->RecordProbe(*target.table, *target.pred, sel.value());
       }
-    }
+    });
   }
 
   out.est_ms = ctx.oracle->TrueTimeMs(*ctx.query, (*ctx.options)[ro_index]);

@@ -33,29 +33,20 @@ QteContext::SlotTarget QteContext::SlotTargetFor(size_t slot) const {
   return {&query->join->right_table, &query->join->right_predicates[slot - m]};
 }
 
-std::vector<size_t> QteContext::NeededSlots(size_t ro_index) const {
+uint64_t QteContext::NeededSlotMask(size_t ro_index) const {
   assert(ro_index < options->size());
+  assert(NumSlots() <= kMaxSlots);
   const RewriteOption& ro = (*options)[ro_index];
   assert(ro.hints.index_mask.has_value() &&
          "rewrite options in Omega must carry explicit index hints");
-  uint32_t mask = *ro.hints.index_mask;
   size_t m = query->predicates.size();
+  auto low_bits = [](size_t n) { return n >= 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1; };
 
-  std::vector<size_t> slots;
-  if (mask == 0) {
-    // Full scan: the output-size estimate needs every base selectivity.
-    for (size_t i = 0; i < m; ++i) slots.push_back(i);
-  } else {
-    for (size_t i = 0; i < m; ++i) {
-      if ((mask >> i) & 1u) slots.push_back(i);
-    }
-  }
-  if (query->join.has_value()) {
-    for (size_t r = 0; r < query->join->right_predicates.size(); ++r) {
-      slots.push_back(m + r);
-    }
-  }
-  return slots;
+  // Full scan (mask 0): the output-size estimate needs every base
+  // selectivity. The join's right-side slots follow the m base slots.
+  uint64_t index_mask = *ro.hints.index_mask;
+  uint64_t slots = index_mask == 0 ? low_bits(m) : index_mask & low_bits(m);
+  return slots | (low_bits(NumSlots()) & ~low_bits(m));
 }
 
 double QteContext::ActualSlotCostMs(size_t slot) const {
@@ -69,9 +60,9 @@ double QteContext::ActualSlotCostMs(size_t slot) const {
 double QueryTimeEstimator::CollectCostMs(const QteContext& ctx, size_t ro_index,
                                          const SelectivityCache& cache) const {
   double cost = ctx.params.model_eval_ms;
-  for (size_t slot : ctx.NeededSlots(ro_index)) {
+  ForEachSlot(ctx.NeededSlotMask(ro_index), [&](size_t slot) {
     if (!cache.Has(slot)) cost += CostFactor() * ctx.ActualSlotCostMs(slot);
-  }
+  });
   return cost;
 }
 
@@ -84,15 +75,15 @@ double QueryTimeEstimator::PredictCostMs(const QteContext& ctx, size_t ro_index,
   // knowledge accumulates).
   bool tiered = UsesHistogramTier() && ctx.tier != nullptr;
   double cost = ctx.params.model_eval_ms;
-  for (size_t slot : ctx.NeededSlots(ro_index)) {
-    if (cache.Has(slot)) continue;
+  ForEachSlot(ctx.NeededSlotMask(ro_index), [&](size_t slot) {
+    if (cache.Has(slot)) return;
     QteContext::SlotTarget target = ctx.SlotTargetFor(slot);
     if (tiered && ctx.tier->CanEstimate(*target.table, *target.pred)) {
       cost += ctx.tier->config().histogram_cost_ms;
     } else {
       cost += CostFactor() * ctx.params.unit_cost_ms;
     }
-  }
+  });
   return cost;
 }
 

@@ -3,8 +3,8 @@
 #ifndef MALIVA_QTE_QTE_H_
 #define MALIVA_QTE_QTE_H_
 
+#include <bit>
 #include <cstdint>
-#include <vector>
 
 #include "engine/engine.h"
 #include "qte/plan_time_oracle.h"
@@ -36,6 +36,10 @@ struct QteContext {
   /// Number of selectivity slots: base predicates + join right predicates.
   size_t NumSlots() const;
 
+  /// Most slots a query may have: NeededSlotMask is one 64-bit word. The
+  /// service rejects larger queries before any QTE sees them.
+  static constexpr size_t kMaxSlots = 64;
+
   /// The (table, predicate) a slot resolves to: slots [0, m) are the base
   /// predicates, slots [m, m + r) the join right-side predicates.
   struct SlotTarget {
@@ -44,16 +48,26 @@ struct QteContext {
   };
   SlotTarget SlotTargetFor(size_t slot) const;
 
-  /// Slots whose selectivities are needed to estimate option `ro_index`:
-  /// the attributes whose index the hint set uses (all of them for the
-  /// forced-full-scan option, which needs the output-size estimate), plus the
-  /// right-side slots when the query joins.
-  std::vector<size_t> NeededSlots(size_t ro_index) const;
+  /// Slots whose selectivities are needed to estimate option `ro_index`, as
+  /// a bit mask (bit s = slot s): the attributes whose index the hint set
+  /// uses (all of them for the forced-full-scan option, which needs the
+  /// output-size estimate), plus the right-side slots when the query joins.
+  /// Callers walk the set bits in ascending slot order (ForEachSlot), so
+  /// per-slot cost sums accumulate in slot order.
+  uint64_t NeededSlotMask(size_t ro_index) const;
 
   /// Actual cost of collecting `slot` for this query (estimate = unit cost;
   /// actual = unit cost with deterministic per-(query, slot) jitter).
   double ActualSlotCostMs(size_t slot) const;
 };
+
+/// Calls `visit(slot)` for each set bit of `mask`, lowest slot first.
+template <typename Visit>
+void ForEachSlot(uint64_t mask, Visit&& visit) {
+  for (; mask != 0; mask &= mask - 1) {
+    visit(static_cast<size_t>(std::countr_zero(mask)));
+  }
+}
 
 /// Outcome of one QTE invocation.
 struct QteEstimate {

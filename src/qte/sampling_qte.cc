@@ -26,8 +26,8 @@ QteEstimate SamplingQte::Estimate(const QteContext& ctx, size_t ro_index,
   // so search self-time can subtract it back out.
   {
     ProfilerSimpleGuard ladder_span(cache->profiler(), QueryProfiler::kSelectivity);
-    for (size_t slot : ctx.NeededSlots(ro_index)) {
-      if (cache->Has(slot)) continue;
+    ForEachSlot(ctx.NeededSlotMask(ro_index), [&](size_t slot) {
+      if (cache->Has(slot)) return;
       QteContext::SlotTarget target = ctx.SlotTargetFor(slot);
       const Predicate& pred = *target.pred;
       const std::string& table = *target.table;
@@ -37,7 +37,7 @@ QteEstimate SamplingQte::Estimate(const QteContext& ctx, size_t ro_index,
           cache->Set(slot, *est);
           cache->NoteHistogramHit();
           out.cost_ms += ctx.tier->config().histogram_cost_ms;
-          continue;
+          return;
         }
       }
       out.cost_ms += CostFactor() * ctx.ActualSlotCostMs(slot);
@@ -57,7 +57,7 @@ QteEstimate SamplingQte::Estimate(const QteContext& ctx, size_t ro_index,
         // columns keep getting scored here, which is their way back in).
         if (ctx.tier != nullptr) ctx.tier->RecordProbe(table, pred, sel.value());
       }
-    }
+    });
   }
 
   // Build the selectivity vector: collected slots use sampled values,

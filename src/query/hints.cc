@@ -16,36 +16,67 @@ const char* JoinMethodName(JoinMethod m) {
   return "unknown";
 }
 
-std::string HintSet::ToString(size_t num_predicates) const {
-  if (!HasAnyHint()) return "(no hints)";
-  std::string out = "/*+ ";
+void HintSet::AppendTo(std::string* out, size_t num_predicates) const {
+  if (!HasAnyHint()) {
+    out->append("(no hints)");
+    return;
+  }
+  out->append("/*+ ");
   if (index_mask.has_value()) {
-    out += "indexes=";
+    out->append("indexes=");
     for (size_t i = 0; i < num_predicates; ++i) {
-      out += ((*index_mask >> i) & 1u) ? '1' : '0';
+      out->push_back(((*index_mask >> i) & 1u) ? '1' : '0');
     }
   }
   if (join_method != JoinMethod::kOptimizerChoice) {
-    if (index_mask.has_value()) out += " ";
-    out += std::string("join=") + JoinMethodName(join_method);
+    if (index_mask.has_value()) out->push_back(' ');
+    out->append("join=").append(JoinMethodName(join_method));
   }
-  out += " */";
+  out->append(" */");
+}
+
+std::string HintSet::ToString(size_t num_predicates) const {
+  std::string out;
+  AppendTo(&out, num_predicates);
   return out;
 }
 
-std::string ApproxRule::ToString() const {
+void ApproxRule::AppendTo(std::string* out) const {
   switch (kind) {
-    case ApproxKind::kNone: return "exact";
-    case ApproxKind::kLimit: return "limit(" + FormatDouble(fraction * 100.0, 3) + "%)";
+    case ApproxKind::kNone:
+      out->append("exact");
+      return;
+    case ApproxKind::kLimit:
+      out->append("limit(");
+      AppendFixed(out, fraction * 100.0, 3);
+      out->append("%)");
+      return;
     case ApproxKind::kSampleTable:
-      return "sample(" + FormatDouble(fraction * 100.0, 0) + "%)";
+      out->append("sample(");
+      AppendFixed(out, fraction * 100.0, 0);
+      out->append("%)");
+      return;
   }
-  return "unknown";
+  out->append("unknown");
+}
+
+std::string ApproxRule::ToString() const {
+  std::string out;
+  AppendTo(&out);
+  return out;
+}
+
+void RewriteOption::AppendTo(std::string* out, size_t num_predicates) const {
+  hints.AppendTo(out, num_predicates);
+  if (approx.IsApproximate()) {
+    out->push_back(' ');
+    approx.AppendTo(out);
+  }
 }
 
 std::string RewriteOption::ToString(size_t num_predicates) const {
-  std::string out = hints.ToString(num_predicates);
-  if (approx.IsApproximate()) out += " " + approx.ToString();
+  std::string out;
+  AppendTo(&out, num_predicates);
   return out;
 }
 

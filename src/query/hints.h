@@ -33,6 +33,9 @@ struct HintSet {
     return index_mask.has_value() || join_method != JoinMethod::kOptimizerChoice;
   }
 
+  /// Appends the hint comment, e.g. `/*+ indexes=101 join=hash */`, or
+  /// `(no hints)`.
+  void AppendTo(std::string* out, size_t num_predicates) const;
   std::string ToString(size_t num_predicates) const;
 };
 
@@ -51,6 +54,8 @@ struct ApproxRule {
   double fraction = 1.0;
 
   bool IsApproximate() const { return kind != ApproxKind::kNone; }
+  /// Appends `exact`, `limit(1.000%)` or `sample(20%)`.
+  void AppendTo(std::string* out) const;
   std::string ToString() const;
 };
 
@@ -60,6 +65,8 @@ struct RewriteOption {
   ApproxRule approx;
 
   bool IsApproximate() const { return approx.IsApproximate(); }
+  /// Appends the hint comment, then ` <approximation>` when approximate.
+  void AppendTo(std::string* out, size_t num_predicates) const;
   std::string ToString(size_t num_predicates) const;
 };
 

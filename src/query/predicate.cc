@@ -36,20 +36,37 @@ Predicate Predicate::Spatial(std::string column, const BoundingBox& box) {
   return p;
 }
 
-std::string Predicate::ToString() const {
+void Predicate::AppendTo(std::string* out) const {
   switch (type) {
     case PredicateType::kKeyword:
-      return column + " CONTAINS '" + keyword + "'";
+      out->append(column).append(" CONTAINS '").append(keyword).push_back('\'');
+      return;
     case PredicateType::kTimeRange:
     case PredicateType::kNumericRange:
-      return column + " BETWEEN " + FormatDouble(range.lo, 2) + " AND " +
-             FormatDouble(range.hi, 2);
+      out->append(column).append(" BETWEEN ");
+      AppendFixed(out, range.lo, 2);
+      out->append(" AND ");
+      AppendFixed(out, range.hi, 2);
+      return;
     case PredicateType::kSpatialBox:
-      return column + " IN BOX((" + FormatDouble(box.min_lon, 2) + "," +
-             FormatDouble(box.min_lat, 2) + "),(" + FormatDouble(box.max_lon, 2) + "," +
-             FormatDouble(box.max_lat, 2) + "))";
+      out->append(column).append(" IN BOX((");
+      AppendFixed(out, box.min_lon, 2);
+      out->push_back(',');
+      AppendFixed(out, box.min_lat, 2);
+      out->append("),(");
+      AppendFixed(out, box.max_lon, 2);
+      out->push_back(',');
+      AppendFixed(out, box.max_lat, 2);
+      out->append("))");
+      return;
   }
-  return "<invalid>";
+  out->append("<invalid>");
+}
+
+std::string Predicate::ToString() const {
+  std::string out;
+  AppendTo(&out);
+  return out;
 }
 
 }  // namespace maliva

@@ -37,7 +37,9 @@ struct Predicate {
   static Predicate Numeric(std::string column, double lo, double hi);
   static Predicate Spatial(std::string column, const BoundingBox& box);
 
-  /// SQL-ish rendering, e.g. `created_at BETWEEN 100 AND 200`.
+  /// Appends the SQL-ish rendering, e.g. `created_at BETWEEN 100.00 AND
+  /// 200.00`, to `out`.
+  void AppendTo(std::string* out) const;
   std::string ToString() const;
 };
 

@@ -1,30 +1,40 @@
 #include "query/query.h"
 
-#include "util/string_util.h"
-
 namespace maliva {
 
-std::string Query::ToString() const {
-  std::string out = "SELECT ";
+void Query::AppendTo(std::string* out) const {
   if (output == OutputKind::kHeatmap) {
-    out += "BIN_ID(" + output_column + "), COUNT(*)";
+    out->append("SELECT BIN_ID(").append(output_column).append("), COUNT(*)");
   } else {
-    out += "id, " + output_column;
+    out->append("SELECT id, ").append(output_column);
   }
-  out += " FROM " + table;
+  out->append(" FROM ").append(table);
   if (join.has_value()) {
-    out += " JOIN " + join->right_table + " ON " + table + "." + join->left_key + " = " +
-           join->right_table + "." + join->right_key;
+    out->append(" JOIN ").append(join->right_table).append(" ON ").append(table);
+    out->append(".").append(join->left_key).append(" = ").append(join->right_table);
+    out->append(".").append(join->right_key);
   }
-  std::vector<std::string> conds;
-  for (const Predicate& p : predicates) conds.push_back(p.ToString());
+  const char* sep = " WHERE ";
+  for (const Predicate& p : predicates) {
+    out->append(sep);
+    p.AppendTo(out);
+    sep = " AND ";
+  }
   if (join.has_value()) {
     for (const Predicate& p : join->right_predicates) {
-      conds.push_back(join->right_table + "." + p.ToString());
+      out->append(sep).append(join->right_table).push_back('.');
+      p.AppendTo(out);
+      sep = " AND ";
     }
   }
-  if (!conds.empty()) out += " WHERE " + Join(conds, " AND ");
-  if (output == OutputKind::kHeatmap) out += " GROUP BY BIN_ID(" + output_column + ")";
+  if (output == OutputKind::kHeatmap) {
+    out->append(" GROUP BY BIN_ID(").append(output_column).push_back(')');
+  }
+}
+
+std::string Query::ToString() const {
+  std::string out;
+  AppendTo(&out);
   return out;
 }
 

@@ -40,7 +40,9 @@ struct Query {
 
   size_t NumPredicates() const { return predicates.size(); }
 
-  /// SQL-ish rendering (examples / debugging).
+  /// Appends the SQL-ish rendering to `out`; the service renders every
+  /// response's SQL through this, so the bytes are part of the API.
+  void AppendTo(std::string* out) const;
   std::string ToString() const;
 };
 

@@ -15,10 +15,14 @@ struct RewrittenQuery {
   const Query* query = nullptr;  ///< original query (not owned)
   RewriteOption option;
 
-  /// SQL-ish rendering including the hint comment.
+  /// SQL-ish rendering including the hint comment, built in one buffer
+  /// reserved up front (a rendered visualization query is ~200 bytes).
   std::string ToString() const {
-    std::string out = option.ToString(query->NumPredicates());
-    out += " " + query->ToString();
+    std::string out;
+    out.reserve(256);
+    option.AppendTo(&out, query->NumPredicates());
+    out.push_back(' ');
+    query->AppendTo(&out);
     return out;
   }
 };

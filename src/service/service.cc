@@ -548,6 +548,14 @@ Status ValidateRequest(const RewriteRequest& request) {
   if (request.query == nullptr) {
     return Status::InvalidArgument("RewriteRequest.query must not be null");
   }
+  const Query& query = *request.query;
+  if (query.predicates.size() +
+          (query.join.has_value() ? query.join->right_predicates.size() : 0) >
+      QteContext::kMaxSlots) {
+    return Status::InvalidArgument("a query may carry at most " +
+                                   std::to_string(QteContext::kMaxSlots) +
+                                   " predicates, join predicates included");
+  }
   if (request.tau_ms.has_value() && !(*request.tau_ms > 0.0)) {
     return Status::InvalidArgument(
         "per-request tau_ms must be positive (got non-positive or NaN)");
@@ -795,6 +803,13 @@ Result<RewriteResponse> MalivaService::ServeImpl(const RewriteRequest& request,
     abort_guard = FlightAbortGuard{rcache, &ticket, fingerprint,
                                    ticket.role == RewriteResultCache::Role::kLeader};
   }
+
+  // Miss path only: the search, the QTEs and the engine assume the query
+  // names real tables and columns of the right types. Hits skip the check
+  // for free — the signature keys on the table, predicate columns and
+  // types, and join keys, so a resident decision was computed for a query
+  // that passed it; the output fields it leaves out are only rendered.
+  MALIVA_RETURN_NOT_OK(scenario_->engine->ValidateQuery(*request.query));
 
   if (model) {
     session.BindAgentOverride(model.agent.get());

@@ -44,6 +44,13 @@ struct BoundingBox {
     return p.lon >= min_lon && p.lon <= max_lon && p.lat >= min_lat && p.lat <= max_lat;
   }
 
+  /// Whether `o` lies entirely inside this box (inclusive; false when any
+  /// coordinate of either box is NaN).
+  bool ContainsBox(const BoundingBox& o) const {
+    return o.min_lon >= min_lon && o.max_lon <= max_lon && o.min_lat >= min_lat &&
+           o.max_lat <= max_lat;
+  }
+
   bool Intersects(const BoundingBox& o) const {
     return !(o.min_lon > max_lon || o.max_lon < min_lon || o.min_lat > max_lat ||
              o.max_lat < min_lat);

@@ -1,7 +1,9 @@
 #include "util/string_util.h"
 
+#include <cassert>
 #include <cctype>
-#include <cstdio>
+#include <charconv>
+#include <system_error>
 
 namespace maliva {
 
@@ -36,10 +38,20 @@ std::string Join(const std::vector<std::string>& pieces, const std::string& sep)
   return out;
 }
 
+void AppendFixed(std::string* out, double v, int digits) {
+  assert(digits >= 0 && digits <= 100);
+  // Widest fixed rendering: sign + 309 integer digits + '.' + 100 decimals.
+  char buf[416];
+  std::to_chars_result r =
+      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::fixed, digits);
+  assert(r.ec == std::errc());
+  out->append(buf, r.ptr);
+}
+
 std::string FormatDouble(double v, int digits) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", digits, v);
-  return std::string(buf);
+  std::string out;
+  AppendFixed(&out, v, digits);
+  return out;
 }
 
 }  // namespace maliva

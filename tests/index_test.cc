@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "index/btree_index.h"
 #include "index/hash_index.h"
@@ -152,6 +153,111 @@ TEST(RTreeIndexTest, EmptyQuery) {
   ASSERT_TRUE(t.Seal().ok());
   RTreeIndex idx(t, "p");
   EXPECT_TRUE(idx.Query({5, 5, 6, 6}).empty());
+}
+
+// ---------- RTreeIndex::Count (subtree-count shortcut) ----------
+
+RTreeIndex PointIndex(const std::vector<GeoPoint>& pts, Table* t) {
+  for (const GeoPoint& p : pts) t->MutableColumnAt(0).AppendPoint(p);
+  EXPECT_TRUE(t->Seal().ok());
+  return RTreeIndex(*t, "p");
+}
+
+size_t BruteCount(const std::vector<GeoPoint>& pts, const BoundingBox& box) {
+  return static_cast<size_t>(std::count_if(
+      pts.begin(), pts.end(), [&](const GeoPoint& p) { return box.Contains(p); }));
+}
+
+// A 100 x 100 integer lattice: 10k points, three levels, and every node box
+// has integer corners, so integer query boxes land exactly on node edges and
+// on points.
+std::vector<GeoPoint> Lattice() {
+  std::vector<GeoPoint> pts;
+  for (int x = 0; x < 100; ++x) {
+    for (int y = 0; y < 100; ++y) pts.push_back({double(x), double(y)});
+  }
+  return pts;
+}
+
+TEST(RTreeCountTest, BoxesSwallowingWholeSubtrees) {
+  std::vector<GeoPoint> pts = Lattice();
+  Table t("t", {{"p", ColumnType::kPoint}});
+  RTreeIndex idx = PointIndex(pts, &t);
+  ASSERT_EQ(idx.Height(), 3u);
+  const BoundingBox boxes[] = {{-1, -1, 100, 100}, {-0.5, -0.5, 60.5, 99.5},
+                               {10.5, -3, 89.5, 200},  {-50, 20.25, 150, 80.75},
+                               {33.3, 33.3, 66.6, 66.6}, {0.5, 0.5, 0.6, 0.6}};
+  for (const BoundingBox& box : boxes) {
+    EXPECT_EQ(idx.Count(box), idx.Query(box).size());
+    EXPECT_EQ(idx.Count(box), BruteCount(pts, box));
+  }
+}
+
+TEST(RTreeCountTest, EdgesOnNodeBoxesAndPointsAreInclusive) {
+  std::vector<GeoPoint> pts = Lattice();
+  Table t("t", {{"p", ColumnType::kPoint}});
+  RTreeIndex idx = PointIndex(pts, &t);
+  Rng rng(11);
+  for (int trial = 0; trial < 400; ++trial) {
+    double x0 = static_cast<double>(rng.UniformInt(-1, 99));
+    double y0 = static_cast<double>(rng.UniformInt(-1, 99));
+    BoundingBox box{x0, y0, x0 + static_cast<double>(rng.UniformInt(0, 60)),
+                    y0 + static_cast<double>(rng.UniformInt(0, 60))};
+    EXPECT_EQ(idx.Count(box), idx.Query(box).size());
+    EXPECT_EQ(idx.Count(box), BruteCount(pts, box));
+  }
+  EXPECT_EQ(idx.Count({7, 7, 7, 7}), 1u);    // a degenerate box on one point
+  EXPECT_EQ(idx.Count({7, 0, 7, 99}), 100u);  // a zero-width column
+}
+
+TEST(RTreeCountTest, BoundsCountsEverything) {
+  Rng rng(5);
+  std::vector<GeoPoint> pts;
+  for (int i = 0; i < 4321; ++i) pts.push_back({rng.Uniform(-180, 180), rng.Uniform(-90, 90)});
+  Table t("t", {{"p", ColumnType::kPoint}});
+  RTreeIndex idx = PointIndex(pts, &t);
+  EXPECT_EQ(idx.Count(idx.Bounds()), idx.size());
+  EXPECT_EQ(idx.Query(idx.Bounds()).size(), idx.size());
+}
+
+TEST(RTreeCountTest, EmptyTree) {
+  Table t("t", {{"p", ColumnType::kPoint}});
+  RTreeIndex idx = PointIndex({}, &t);
+  EXPECT_EQ(idx.Count(idx.Bounds()), 0u);
+  EXPECT_EQ(idx.Count({-1e300, -1e300, 1e300, 1e300}), 0u);
+  EXPECT_TRUE(idx.Query(idx.Bounds()).empty());
+}
+
+TEST(RTreeCountTest, DuplicatePoints) {
+  std::vector<GeoPoint> pts(500, GeoPoint{3.0, 4.0});
+  for (int i = 0; i < 300; ++i) pts.push_back({double(i % 10), double(i / 10)});
+  Table t("t", {{"p", ColumnType::kPoint}});
+  RTreeIndex idx = PointIndex(pts, &t);
+  const BoundingBox boxes[] = {{3, 4, 3, 4}, {0, 0, 9, 29}, {2.5, 3.5, 3.5, 4.5},
+                               {3, 4, 9, 29}, {0, 0, 2.9, 3.9}, idx.Bounds()};
+  for (const BoundingBox& box : boxes) {
+    EXPECT_EQ(idx.Count(box), idx.Query(box).size());
+    EXPECT_EQ(idx.Count(box), BruteCount(pts, box));
+  }
+  EXPECT_EQ(idx.Count({3, 4, 3, 4}), 501u);  // 500 copies + the lattice (3, 4)
+}
+
+TEST(RTreeCountTest, LeafHoldingNaNNeverTakesTheShortcut) {
+  // NaN latitudes at varied longitudes, so some land mid-leaf (their leaf box
+  // drops them) and the whole-tree box would otherwise claim them.
+  std::vector<GeoPoint> pts = Lattice();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (int i = 0; i < 40; ++i) pts.push_back({2.5 * i, nan});
+  pts.push_back({nan, 50.0});
+  Table t("t", {{"p", ColumnType::kPoint}});
+  RTreeIndex idx = PointIndex(pts, &t);
+  const BoundingBox boxes[] = {idx.Bounds(), {-1, -1, 100, 100}, {10, 10, 60, 60},
+                               {0, 0, 0, 99}, {-1e300, -1e300, 1e300, 1e300}};
+  for (const BoundingBox& box : boxes) {
+    EXPECT_EQ(idx.Count(box), idx.Query(box).size());
+    EXPECT_EQ(idx.Count(box), BruteCount(pts, box));
+  }
+  EXPECT_EQ(idx.Count({-1, -1, 100, 100}), 10000u);  // the NaN points match nothing
 }
 
 // ---------- InvertedIndex ----------

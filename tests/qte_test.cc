@@ -41,10 +41,29 @@ TEST_F(QteTest, NumSlotsEqualsPredicates) { EXPECT_EQ(ctx_.NumSlots(), 3u); }
 
 TEST_F(QteTest, NeededSlotsFollowMask) {
   // Option index == mask for EnumerateHintOnlyOptions.
-  EXPECT_EQ(ctx_.NeededSlots(0b101), (std::vector<size_t>{0, 2}));
-  EXPECT_EQ(ctx_.NeededSlots(0b010), (std::vector<size_t>{1}));
+  EXPECT_EQ(ctx_.NeededSlotMask(0b101), 0b101u);
+  EXPECT_EQ(ctx_.NeededSlotMask(0b010), 0b010u);
   // Forced full scan needs every selectivity for the output estimate.
-  EXPECT_EQ(ctx_.NeededSlots(0), (std::vector<size_t>{0, 1, 2}));
+  EXPECT_EQ(ctx_.NeededSlotMask(0), 0b111u);
+
+  // Join: the right-side slots follow the base slots and are always needed.
+  Query join = query_;
+  join.join = JoinSpec{"users", "user_id", "id",
+                       {Predicate::Numeric("tweet_cnt", 1, 50),
+                        Predicate::Numeric("followers", 0, 9)}};
+  RewriteOptionSet join_options = EnumerateJoinOptions(3);
+  QteContext jctx = ctx_;
+  jctx.query = &join;
+  jctx.options = &join_options;
+  ASSERT_EQ(jctx.NumSlots(), 5u);
+  // EnumerateJoinOptions: option 3 * (mask - 1) + method.
+  EXPECT_EQ(jctx.NeededSlotMask(3 * (0b101 - 1)), 0b11101u);
+  EXPECT_EQ(jctx.NeededSlotMask(3 * (0b010 - 1) + 2), 0b11010u);
+  EXPECT_EQ(jctx.NeededSlotMask(3 * (0b111 - 1) + 1), 0b11111u);
+
+  std::vector<size_t> visited;
+  ForEachSlot(0b11010u, [&](size_t slot) { visited.push_back(slot); });
+  EXPECT_EQ(visited, (std::vector<size_t>{1, 3, 4}));  // ascending slot order
 }
 
 TEST_F(QteTest, ActualSlotCostJittersAroundUnit) {

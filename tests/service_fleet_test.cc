@@ -214,6 +214,91 @@ TEST_F(FleetTest, UnknownScenarioIsNotFoundListingRegistered) {
   EXPECT_EQ(fleet.Stats().routing_errors, 1u);  // only the Serve counts
 }
 
+TEST_F(FleetTest, QueriesOffTheCatalogAreInvalidArgumentAndServingContinues) {
+  ScenarioConfig join_cfg;
+  join_cfg.kind = DatasetKind::kTwitter;
+  join_cfg.join = true;
+  join_cfg.num_rows = 4000;
+  join_cfg.num_users = 400;
+  join_cfg.num_queries = 40;
+  join_cfg.seed = 93;
+  Scenario joined = BuildScenario(join_cfg);
+
+  // With and without the result cache: on the cached path an invalid query
+  // leads its flight and must abort it, not publish or wedge followers.
+  for (bool cached : {false, true}) {
+    SCOPED_TRACE(cached ? "result cache on" : "result cache off");
+    FleetConfig config = SmallFleetConfig();
+    config.defaults.WithResultCache(cached);
+    MalivaFleet fleet(config);
+    ASSERT_TRUE(fleet.RegisterScenario("twitter", twitter_).ok());
+    ASSERT_TRUE(fleet.RegisterScenario("join", &joined).ok());
+    fleet.WaitWarmups();
+
+    struct Case {
+      const char* what;
+      const char* scenario;
+      void (*mutate)(Query&);
+    };
+    const Case cases[] = {
+        {"unknown table", "twitter", [](Query& q) { q.table = "no_such_table"; }},
+        {"unknown predicate column", "twitter",
+         [](Query& q) { q.predicates[0].column = "no_such_column"; }},
+        {"keyword on a timestamp", "twitter",
+         [](Query& q) { q.predicates[0].column = "created_at"; }},
+        {"range on text", "twitter", [](Query& q) { q.predicates[1].column = "text"; }},
+        {"box on a timestamp", "twitter",
+         [](Query& q) { q.predicates[2].column = "created_at"; }},
+        {"unknown output column", "twitter",
+         [](Query& q) { q.output_column = "no_such_column"; }},
+        {"non-point output column", "twitter",
+         [](Query& q) { q.output_column = "created_at"; }},
+        {"unknown join table", "join",
+         [](Query& q) { q.join->right_table = "no_such_table"; }},
+        {"unknown left key", "join", [](Query& q) { q.join->left_key = "no_such_column"; }},
+        {"non-int64 left key", "join", [](Query& q) { q.join->left_key = "coordinates"; }},
+        {"unknown right key", "join",
+         [](Query& q) { q.join->right_key = "no_such_column"; }},
+        {"unknown right predicate column", "join",
+         [](Query& q) { q.join->right_predicates[0].column = "no_such_column"; }},
+        {"more predicates than slot masks hold", "join",
+         [](Query& q) { q.join->right_predicates.resize(QteContext::kMaxSlots + 1); }},
+    };
+    for (const Case& c : cases) {
+      for (const char* strategy : {"baseline", "mdp/accurate"}) {
+        SCOPED_TRACE(std::string(c.what) + " / " + strategy);
+        Scenario* s = std::string(c.scenario) == "join" ? &joined : twitter_;
+        Query bad = *s->evaluation[0];
+        c.mutate(bad);
+        RewriteRequest req;
+        req.scenario = c.scenario;
+        req.strategy = strategy;
+        req.query = &bad;
+        for (int attempt = 0; attempt < 2; ++attempt) {
+          Result<RewriteResponse> resp = fleet.Serve(req);
+          ASSERT_FALSE(resp.ok());
+          EXPECT_EQ(resp.status().code(), Status::Code::kInvalidArgument)
+              << resp.status().ToString();
+        }
+      }
+    }
+
+    // The shards keep serving valid traffic, including the untouched query.
+    for (const char* scenario : {"twitter", "join"}) {
+      Scenario* s = std::string(scenario) == "join" ? &joined : twitter_;
+      for (size_t i = 0; i < 3; ++i) {
+        RewriteRequest req;
+        req.scenario = scenario;
+        req.strategy = i % 2 == 0 ? "mdp/accurate" : "baseline";
+        req.query = s->evaluation[i];
+        Result<RewriteResponse> resp = fleet.Serve(req);
+        ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+        EXPECT_FALSE(resp.value().rewritten_sql.empty());
+      }
+    }
+  }
+}
+
 TEST_F(FleetTest, DuplicateAndEmptyScenarioIdsAreRejected) {
   MalivaFleet fleet(SmallFleetConfig());
   ASSERT_TRUE(fleet.RegisterScenario("twitter", twitter_).ok());
