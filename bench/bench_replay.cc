@@ -246,7 +246,6 @@ int Run(const ReplayBenchOptions& opts) {
     // watchdog ride along (ISSUE 10): the load phases are exactly the burn
     // signal the watchdog exists to flag.
     FleetConfig gated_cfg = FleetConfig(base_cfg).WithAdmission(admission);
-    gated_cfg.defaults.WithMetrics(true);
     gated_cfg.WithMetricsFlushMs(600000)  // flushed manually after the replay
         .WithSloWatchdog(true)
         .WithSloTargetHitRate(0.9)

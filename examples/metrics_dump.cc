@@ -5,9 +5,9 @@
 //
 //   $ ./build/metrics_dump
 //
-// Everything here is off by default and costs nothing when off: serving
-// pays one null check per request until ServiceConfig::metrics /
-// FleetConfig::trace_ring_capacity opt in (see docs/observability.md).
+// Every service keeps its counters in an always-on metric registry; the
+// flusher, the trace ring and the SLO watchdog are opt-in FleetConfig knobs
+// (see docs/observability.md).
 
 #include <cstdio>
 #include <vector>
@@ -26,14 +26,13 @@ int main() {
   cfg.tau_ms = 500.0;
   Scenario scenario = BuildScenario(cfg);
 
-  // The whole observability plane in one config: per-shard registries
-  // (metrics), a background windowed flusher, the trace-event ring, and the
-  // SLO watchdog over the admission gate's verdicts.
+  // The opt-in half of the observability plane in one config: a background
+  // windowed flusher over the per-shard registries, the trace-event ring,
+  // and the SLO watchdog over the admission gate's verdicts.
   MalivaFleet fleet(FleetConfig()
                         .WithDefaults(ServiceConfig()
                                           .WithTrainerIterations(20)
-                                          .WithAgentSeeds(1)
-                                          .WithMetrics(true))
+                                          .WithAgentSeeds(1))
                         .WithWarmupStrategies({"mdp/accurate", "baseline"})
                         .WithAdmission(AdmissionConfig()
                                            .WithEnabled(true)

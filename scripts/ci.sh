@@ -168,16 +168,17 @@ assert prof['profiled'] == prof['records'] > 0
 assert prof['profile_ms']['search'] > 0.0
 EOF
 
-# Metrics-plane smoke: zero registry lookups on the serve hot path, decision
-# byte-identity with metrics on, one flusher window carrying every serve,
-# exporters rendering the expected series, bounded trace-ring retention.
+# Metrics-plane smoke: zero registry lookups on the serve hot path, one
+# flusher window carrying every serve, FleetStats counting exactly the
+# requests the window counts (one counter store behind both), exporters
+# rendering the expected series, bounded trace-ring retention.
 run_bench_smoke "metrics-plane smoke" bench_metrics_plane BENCH_metrics.json <<'EOF'
 import json, os
 d = json.load(open(os.environ['BENCH_JSON']))
 assert d['bench'] == 'bench_metrics_plane'
 assert d['serve_lookups'] == 0
-assert d['bytes_identical'] is True
 assert d['window_requests'] == d['serves'] > 0
+assert d['stats_requests'] == d['window_requests']
 assert d['prometheus_bytes'] > 0 and d['json_bytes'] > 0
 assert d['ring_appended'] >= d['ring_retained'] > 0
 EOF

@@ -111,28 +111,6 @@ double AdmissionController::EstimatedServeMs() const {
   return serve_estimate_ms_;
 }
 
-void AdmissionController::RecordDecision(const std::string& scenario,
-                                         AdmissionDecision decision) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  AdmissionCounters* rows[] = {&totals_, &per_scenario_[scenario]};
-  for (AdmissionCounters* row : rows) {
-    switch (decision) {
-      case AdmissionDecision::kAdmit: ++row->admitted; break;
-      case AdmissionDecision::kDegrade: ++row->degraded; break;
-      case AdmissionDecision::kShedDeadline: ++row->shed_deadline; break;
-      case AdmissionDecision::kShedOverload: ++row->shed_overload; break;
-    }
-  }
-}
-
-void AdmissionController::RecordQueueWait(const std::string& scenario,
-                                          double wait_ms) {
-  if (!(wait_ms >= 0.0) || !std::isfinite(wait_ms)) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  totals_.queue_wait_ms_total += wait_ms;
-  per_scenario_[scenario].queue_wait_ms_total += wait_ms;
-}
-
 double AdmissionController::WeightFor(const std::string& scenario) const {
   for (const ScenarioShare& share : config_.shares) {
     if (share.scenario == scenario) return share.weight;
@@ -145,17 +123,6 @@ int AdmissionController::TierFor(const std::string& scenario) const {
     if (share.scenario == scenario) return share.tier;
   }
   return 0;
-}
-
-AdmissionCounters AdmissionController::TotalCounters() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return totals_;
-}
-
-AdmissionCounters AdmissionController::CountersFor(const std::string& scenario) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = per_scenario_.find(scenario);
-  return it == per_scenario_.end() ? AdmissionCounters{} : it->second;
 }
 
 }  // namespace maliva

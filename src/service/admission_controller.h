@@ -25,10 +25,9 @@
 #ifndef MALIVA_SERVICE_ADMISSION_CONTROLLER_H_
 #define MALIVA_SERVICE_ADMISSION_CONTROLLER_H_
 
-#include <cstdint>
+#include <cstddef>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "util/status.h"
@@ -126,18 +125,10 @@ enum class AdmissionDecision {
 
 const char* AdmissionDecisionName(AdmissionDecision decision);
 
-/// Per-scenario (and fleet-total) admission accounting.
-struct AdmissionCounters {
-  uint64_t admitted = 0;       ///< served with the requested strategy
-  uint64_t degraded = 0;       ///< served with the degrade strategy
-  uint64_t shed_deadline = 0;  ///< refused: could not make the deadline
-  uint64_t shed_overload = 0;  ///< refused: scheduler queue at capacity
-  double queue_wait_ms_total = 0.0;  ///< summed arrival->dispatch wall wait
-};
-
 /// The decision-making half of the overload control plane. Thread-safe: the
-/// EWMA and counters sit behind a mutex, Decide() reads one snapshot of the
-/// estimate. Deadlines and decisions are pure functions of their inputs.
+/// EWMA sits behind a mutex, Decide() reads one snapshot of the estimate.
+/// Deadlines and decisions are pure functions of their inputs. Verdicts are
+/// counted by the fleet, in the routed shard's metric registry.
 class AdmissionController {
  public:
   explicit AdmissionController(AdmissionConfig config);
@@ -170,25 +161,15 @@ class AdmissionController {
   void RecordServeMs(double wall_ms);
   double EstimatedServeMs() const;
 
-  /// Outcome accounting, per scenario. Wait is recorded for dispatched
-  /// (admitted or degraded) requests only.
-  void RecordDecision(const std::string& scenario, AdmissionDecision decision);
-  void RecordQueueWait(const std::string& scenario, double wait_ms);
-
   /// Share lookup for the scheduler (config default when no override).
   double WeightFor(const std::string& scenario) const;
   int TierFor(const std::string& scenario) const;
-
-  AdmissionCounters TotalCounters() const;
-  AdmissionCounters CountersFor(const std::string& scenario) const;
 
  private:
   const AdmissionConfig config_;
 
   mutable std::mutex mutex_;
   double serve_estimate_ms_;
-  AdmissionCounters totals_;
-  std::unordered_map<std::string, AdmissionCounters> per_scenario_;
 };
 
 }  // namespace maliva

@@ -45,12 +45,10 @@ void DeadlineScheduler::Submit(SchedulerJob job) {
     entry.deadline_ms = job.deadline_ms;
     entry.seq = next_seq_++;
     entry.run = std::move(job.run);
-    entry.enqueued_at = std::chrono::steady_clock::now();
     lane.jobs.push_back(std::move(entry));
     std::push_heap(lane.jobs.begin(), lane.jobs.end(), EntryLater{});
     ++queued_;
     ++pending_;
-    ++submitted_;
   }
   wake_.notify_one();
 }
@@ -91,13 +89,8 @@ bool DeadlineScheduler::PopNextLocked(Entry* out) {
   *out = std::move(best->jobs.back());
   best->jobs.pop_back();
   --queued_;
-  ++dispatched_;
   vtime_ = best_tag;
   best->vfinish = best_tag + 1.0 / best->weight;
-  queue_wait_ms_total_ +=
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                out->enqueued_at)
-          .count();
   return true;
 }
 
@@ -139,15 +132,6 @@ void DeadlineScheduler::Wait() {
 size_t DeadlineScheduler::QueueDepth() const {
   std::unique_lock<std::mutex> lock(mutex_);
   return queued_;
-}
-
-SchedulerStats DeadlineScheduler::GetStats() const {
-  std::unique_lock<std::mutex> lock(mutex_);
-  SchedulerStats stats;
-  stats.submitted = submitted_;
-  stats.dispatched = dispatched_;
-  stats.queue_wait_ms_total = queue_wait_ms_total_;
-  return stats;
 }
 
 }  // namespace maliva

@@ -26,7 +26,6 @@
 #ifndef MALIVA_SERVICE_DEADLINE_SCHEDULER_H_
 #define MALIVA_SERVICE_DEADLINE_SCHEDULER_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -48,14 +47,6 @@ struct SchedulerJob {
   std::string scenario;
   /// The work; must not throw (same contract as ThreadPool::Submit).
   std::function<void()> run;
-};
-
-/// Point-in-time scheduler counters.
-struct SchedulerStats {
-  uint64_t submitted = 0;
-  uint64_t dispatched = 0;
-  /// Summed wall ms jobs spent queued (submit -> dispatch).
-  double queue_wait_ms_total = 0.0;
 };
 
 class DeadlineScheduler {
@@ -92,14 +83,11 @@ class DeadlineScheduler {
 
   size_t workers() const { return workers_.size(); }
 
-  SchedulerStats GetStats() const;
-
  private:
   struct Entry {
     double deadline_ms;
     uint64_t seq;  ///< submission order, the EDF tie-break
     std::function<void()> run;
-    std::chrono::steady_clock::time_point enqueued_at;
   };
   /// Max-heap comparator that puts the *earliest* deadline on top (std heap
   /// functions build max-heaps; "later is less" inverts them into EDF).
@@ -133,9 +121,6 @@ class DeadlineScheduler {
   size_t queued_ = 0;   ///< entries across lanes, not yet dispatched
   size_t pending_ = 0;  ///< submitted, not yet completed
   bool stop_ = false;
-  uint64_t dispatched_ = 0;
-  uint64_t submitted_ = 0;
-  double queue_wait_ms_total_ = 0.0;
   std::vector<std::thread> workers_;
 };
 

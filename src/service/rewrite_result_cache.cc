@@ -26,8 +26,20 @@ struct RewriteResultCache::Flight {
   CachedRewrite value;
 };
 
-RewriteResultCache::RewriteResultCache(const Config& config)
-    : capacity_(std::max<size_t>(1, config.capacity)) {
+RewriteResultCache::Counters RewriteResultCache::CountersIn(
+    MetricsRegistry* registry) {
+  Counters c;
+  c.hits = registry->GetCounter("maliva_result_cache_total", {{"outcome", "hit"}});
+  c.misses = registry->GetCounter("maliva_result_cache_total", {{"outcome", "miss"}});
+  c.coalesced =
+      registry->GetCounter("maliva_result_cache_total", {{"outcome", "coalesced"}});
+  c.evictions = registry->GetCounter("maliva_result_cache_evictions_total");
+  c.stale_declines = registry->GetCounter("maliva_result_cache_stale_declines_total");
+  return c;
+}
+
+RewriteResultCache::RewriteResultCache(const Config& config, Counters counters)
+    : capacity_(std::max<size_t>(1, config.capacity)), counters_(counters) {
   size_t shards = std::clamp<size_t>(config.shards, 1, capacity_);
   per_shard_capacity_ = (capacity_ + shards - 1) / shards;
   shards_.reserve(shards);
@@ -60,7 +72,7 @@ RewriteResultCache::Ticket RewriteResultCache::Begin(uint64_t key,
   if (it != shard.entries.end()) {
     if (it->second.epoch == epoch && it->second.snapshot == snapshot) {
       it->second.referenced = true;
-      hits_.fetch_add(1, std::memory_order_relaxed);
+      counters_.hits->Increment();
       ticket.role = Role::kHit;
       ticket.value = it->second.value;
       return ticket;
@@ -68,10 +80,10 @@ RewriteResultCache::Ticket RewriteResultCache::Begin(uint64_t key,
     // Fingerprint match from a superseded context: never trusted. The entry
     // stays resident (replaced in place when this context's result
     // publishes), so cross-epoch churn cannot grow the map.
-    stale_declines_.fetch_add(1, std::memory_order_relaxed);
+    counters_.stale_declines->Increment();
   }
 
-  misses_.fetch_add(1, std::memory_order_relaxed);
+  counters_.misses->Increment();
   auto flight_it = shard.flights.find(key);
   if (flight_it != shard.flights.end()) {
     if (flight_it->second->epoch == epoch &&
@@ -106,7 +118,7 @@ std::optional<CachedRewrite> RewriteResultCache::Probe(uint64_t key,
     return std::nullopt;  // not counted: the serve path's Begin() will be
   }
   it->second.referenced = true;
-  hits_.fetch_add(1, std::memory_order_relaxed);
+  counters_.hits->Increment();
   return it->second.value;
 }
 
@@ -141,7 +153,7 @@ void RewriteResultCache::InsertLocked(Shard& shard, uint64_t key,
         continue;
       }
       shard.entries.erase(victim);
-      evictions_.fetch_add(1, std::memory_order_relaxed);
+      counters_.evictions->Increment();
       shard.ring[shard.hand] = key;
       break;
     }
@@ -206,19 +218,8 @@ std::optional<CachedRewrite> RewriteResultCache::WaitForLeader(
   std::unique_lock<std::mutex> lock(flight.mutex);
   flight.cv.wait(lock, [&flight] { return flight.done; });
   if (!flight.ok) return std::nullopt;  // leader aborted: compute solo
-  coalesced_.fetch_add(1, std::memory_order_relaxed);
+  counters_.coalesced->Increment();
   return flight.value;
-}
-
-RewriteResultCache::Stats RewriteResultCache::Snapshot() const {
-  Stats s;
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.coalesced = coalesced_.load(std::memory_order_relaxed);
-  s.evictions = evictions_.load(std::memory_order_relaxed);
-  s.stale_declines = stale_declines_.load(std::memory_order_relaxed);
-  s.size = Size();
-  return s;
 }
 
 size_t RewriteResultCache::Size() const {

@@ -44,7 +44,6 @@
 #ifndef MALIVA_SERVICE_REWRITE_RESULT_CACHE_H_
 #define MALIVA_SERVICE_REWRITE_RESULT_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -54,7 +53,8 @@
 #include <vector>
 
 #include "core/rewriter.h"
-#include "service/serving_telemetry.h"
+#include "service/serving_stats.h"
+#include "util/metrics.h"
 
 namespace maliva {
 
@@ -92,6 +92,21 @@ class RewriteResultCache {
   /// leader aborted) and publishes directly.
   enum class Role { kHit, kLeader, kFollower, kSolo };
 
+  /// The cache's outcome counters: registry handles the cache increments
+  /// and never owns (the service's registry is their only store).
+  struct Counters {
+    Counter* hits = nullptr;            ///< context-exact probe hits
+    Counter* misses = nullptr;          ///< Begin probes that did not hit
+    Counter* coalesced = nullptr;       ///< requests served by another's search
+    Counter* evictions = nullptr;       ///< entries evicted by the CLOCK hand
+    Counter* stale_declines = nullptr;  ///< fingerprint matches refused on context
+  };
+  /// Resolves the cache's series in `registry`:
+  /// maliva_result_cache_total{outcome="hit"|"miss"|"coalesced"},
+  /// maliva_result_cache_evictions_total and
+  /// maliva_result_cache_stale_declines_total.
+  static Counters CountersIn(MetricsRegistry* registry);
+
   struct Flight;  // internal; exposed only through shared_ptr in Ticket
 
   /// Begin()'s result. Move-only state is deliberately avoided: tickets are
@@ -104,7 +119,8 @@ class RewriteResultCache {
     std::shared_ptr<Flight> flight;
   };
 
-  explicit RewriteResultCache(const Config& config);
+  /// Every `counters` handle must be non-null and outlive the cache.
+  RewriteResultCache(const Config& config, Counters counters);
   ~RewriteResultCache();
 
   RewriteResultCache(const RewriteResultCache&) = delete;
@@ -143,19 +159,7 @@ class RewriteResultCache {
 
   /// Batch-dedup accounting: `n` requests replayed from one in-batch
   /// computation without enrolling flights (MalivaService::ServeBatch).
-  void NoteCoalesced(uint64_t n) {
-    coalesced_.fetch_add(n, std::memory_order_relaxed);
-  }
-
-  struct Stats {
-    uint64_t hits = 0;            ///< context-exact probe hits
-    uint64_t misses = 0;          ///< probes that led to a computation
-    uint64_t coalesced = 0;       ///< requests served by another's search
-    uint64_t evictions = 0;       ///< entries evicted by the CLOCK hand
-    uint64_t stale_declines = 0;  ///< fingerprint matches refused on context
-    size_t size = 0;              ///< resident entries at snapshot time
-  };
-  Stats Snapshot() const;
+  void NoteCoalesced(uint64_t n) { counters_.coalesced->Increment(n); }
 
   /// Resident entries (sum over shards; exact when quiescent).
   size_t Size() const;
@@ -192,12 +196,7 @@ class RewriteResultCache {
   size_t capacity_;
   size_t per_shard_capacity_;
   std::vector<std::unique_ptr<Shard>> shards_;
-
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> coalesced_{0};
-  std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> stale_declines_{0};
+  Counters counters_;
 };
 
 }  // namespace maliva

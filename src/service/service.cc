@@ -175,17 +175,52 @@ Status ServiceConfig::Validate() const {
           ")");
     }
   }
-  if (!metrics && !metrics_scenario.empty()) {
-    return Status::InvalidArgument(
-        "metrics_scenario requires metrics (the label has no registry to "
-        "stamp)");
-  }
   return Status::OK();
 }
 
+namespace {
+
+MetricLabels ScenarioLabel(const std::string& scenario) {
+  if (scenario.empty()) return {};
+  return {{"scenario", scenario}};
+}
+
+}  // namespace
+
 MalivaService::MalivaService(Scenario* scenario, ServiceConfig config)
-    : scenario_(scenario), config_(std::move(config)) {
+    : scenario_(scenario),
+      config_(std::move(config)),
+      metrics_registry_(ScenarioLabel(config_.metrics_scenario)) {
   assert(scenario_ != nullptr && "MalivaService requires a built scenario");
+  // Resolve every counter handle exactly once, here, before any plane that
+  // records into them exists: after construction the serve path records
+  // through raw pointers — zero registry map lookups per request
+  // (metrics_test asserts this via lookups()).
+  MetricsRegistry& reg = metrics_registry_;
+  ServeMetrics& m = serve_metrics_;
+  m.requests_ok = reg.GetCounter("maliva_requests_total", {{"verdict", "ok"}});
+  m.requests_error = reg.GetCounter("maliva_requests_total", {{"verdict", "error"}});
+  m.exact_fallbacks = reg.GetCounter("maliva_exact_fallbacks_total");
+  m.shared_published = reg.GetCounter("maliva_shared_published_total");
+  m.tier_shared = reg.GetCounter("maliva_selectivity_slots_total", {{"rung", "shared"}});
+  m.tier_histogram =
+      reg.GetCounter("maliva_selectivity_slots_total", {{"rung", "histogram"}});
+  m.tier_probe = reg.GetCounter("maliva_selectivity_slots_total", {{"rung", "probe"}});
+  m.admission_admitted =
+      reg.GetCounter("maliva_admission_total", {{"verdict", "admitted"}});
+  m.admission_degraded =
+      reg.GetCounter("maliva_admission_total", {{"verdict", "degraded"}});
+  m.admission_shed_deadline =
+      reg.GetCounter("maliva_admission_total", {{"verdict", "shed_deadline"}});
+  m.admission_shed_overload =
+      reg.GetCounter("maliva_admission_total", {{"verdict", "shed_overload"}});
+  m.cache = RewriteResultCache::CountersIn(&reg);
+  m.serve_latency = reg.GetHistogram("maliva_serve_latency_ms");
+  m.queue_wait = reg.GetHistogram("maliva_queue_wait_ms");
+  m.result_cache_entries = reg.GetGauge("maliva_result_cache_entries");
+  m.shared_store_entries = reg.GetGauge("maliva_shared_store_entries");
+  m.agent_snapshot_version = reg.GetGauge("maliva_agent_snapshot_version");
+
   if (config_.qte.has_value()) {
     qte_params_ = *config_.qte;  // explicit override wins, jitter seed included
   } else {
@@ -215,7 +250,8 @@ MalivaService::MalivaService(Scenario* scenario, ServiceConfig config)
     RewriteResultCache::Config cache_config;
     cache_config.capacity = config_.result_cache_capacity;
     cache_config.shards = config_.result_cache_shards;
-    state_.result_cache = std::make_unique<RewriteResultCache>(cache_config);
+    state_.result_cache =
+        std::make_unique<RewriteResultCache>(cache_config, serve_metrics_.cache);
   }
   if (config_status_.ok() && config_.histogram_selectivity) {
     // Rebuild the engine's histograms at the configured resolution first:
@@ -253,50 +289,6 @@ MalivaService::MalivaService(Scenario* scenario, ServiceConfig config)
     trainer_config.background_threads = config_.online_trainer_threads;
     state_.continual_trainer = std::make_unique<ContinualTrainer>(
         state_.model_registry.get(), trainer_config);
-  }
-  if (config_status_.ok() && config_.metrics) {
-    // Resolve every hot-path handle exactly once, here: after construction
-    // the serve path records through raw pointers — zero registry map
-    // lookups per request (metrics_test asserts this via lookups()).
-    MetricLabels base;
-    if (!config_.metrics_scenario.empty()) {
-      base.emplace_back("scenario", config_.metrics_scenario);
-    }
-    metrics_registry_ = std::make_unique<MetricsRegistry>(std::move(base));
-    MetricsRegistry& reg = *metrics_registry_;
-    serve_metrics_.requests_ok =
-        reg.GetCounter("maliva_requests_total", {{"verdict", "ok"}});
-    serve_metrics_.requests_error =
-        reg.GetCounter("maliva_requests_total", {{"verdict", "error"}});
-    serve_metrics_.exact_fallbacks = reg.GetCounter("maliva_exact_fallbacks_total", {});
-    serve_metrics_.cache_hits =
-        reg.GetCounter("maliva_result_cache_total", {{"outcome", "hit"}});
-    serve_metrics_.cache_misses =
-        reg.GetCounter("maliva_result_cache_total", {{"outcome", "miss"}});
-    serve_metrics_.cache_coalesced =
-        reg.GetCounter("maliva_result_cache_total", {{"outcome", "coalesced"}});
-    serve_metrics_.tier_shared =
-        reg.GetCounter("maliva_selectivity_slots_total", {{"rung", "shared"}});
-    serve_metrics_.tier_histogram =
-        reg.GetCounter("maliva_selectivity_slots_total", {{"rung", "histogram"}});
-    serve_metrics_.tier_probe =
-        reg.GetCounter("maliva_selectivity_slots_total", {{"rung", "probe"}});
-    serve_metrics_.admission_admitted =
-        reg.GetCounter("maliva_admission_total", {{"verdict", "admitted"}});
-    serve_metrics_.admission_degraded =
-        reg.GetCounter("maliva_admission_total", {{"verdict", "degraded"}});
-    serve_metrics_.admission_shed_deadline =
-        reg.GetCounter("maliva_admission_total", {{"verdict", "shed_deadline"}});
-    serve_metrics_.admission_shed_overload =
-        reg.GetCounter("maliva_admission_total", {{"verdict", "shed_overload"}});
-    serve_metrics_.serve_latency = reg.GetHistogram("maliva_serve_latency_ms", {});
-    serve_metrics_.queue_wait = reg.GetHistogram("maliva_queue_wait_ms", {});
-    serve_metrics_.result_cache_entries =
-        reg.GetGauge("maliva_result_cache_entries", {});
-    serve_metrics_.shared_store_entries =
-        reg.GetGauge("maliva_shared_store_entries", {});
-    serve_metrics_.agent_snapshot_version =
-        reg.GetGauge("maliva_agent_snapshot_version", {});
   }
 }
 
@@ -613,8 +605,7 @@ std::optional<RewriteResponse> MalivaService::TryServeCached(
                        std::chrono::steady_clock::now() - wall_start)
                        .count();
   resp.stats.serve_wall_ms = wall_ms;
-  telemetry_.RecordServedCached(resp.exact_fallback, wall_ms);
-  RecordServedMetrics(resp, wall_ms);
+  RecordServed(resp, wall_ms);
   return resp;
 }
 
@@ -637,36 +628,36 @@ uint64_t MalivaService::FingerprintRequest(const RewriteRequest& request) const 
       .value;
 }
 
-void MalivaService::RecordServedMetrics(const RewriteResponse& response,
-                                        double wall_ms) const {
+void MalivaService::RecordServed(const RewriteResponse& response,
+                                 double wall_ms) const {
   const ServeMetrics& m = serve_metrics_;
-  if (m.requests_ok == nullptr) return;  // metrics off — the only check paid
   m.requests_ok->Increment();
   m.serve_latency->Record(wall_ms);
   if (response.exact_fallback) m.exact_fallbacks->Increment();
-  if (response.stats.result_cache_hit) {
-    m.cache_hits->Increment();
-    if (response.stats.result_cache_coalesced) m.cache_coalesced->Increment();
-    // A replayed decision did no selectivity work of its own (the template's
-    // rung split was billed when the original miss served).
-    return;
-  }
-  if (state_.result_cache != nullptr) m.cache_misses->Increment();
-  m.tier_shared->Increment(response.stats.selectivity_tier_hits[0]);
-  m.tier_histogram->Increment(response.stats.selectivity_tier_hits[1]);
-  m.tier_probe->Increment(response.stats.selectivity_tier_hits[2]);
+  // A replayed decision: its selectivity counters are the template of the
+  // miss that computed it, already billed when that miss served. Count the
+  // request without re-billing work nobody did.
+  if (response.stats.result_cache_hit) return;
+  // Zero counts are skipped: adding 0 still writes the counter's cache line,
+  // which every serving thread shares.
+  auto add = [](Counter* counter, size_t n) {
+    if (n > 0) counter->Increment(n);
+  };
+  const RequestStats& stats = response.stats;
+  add(m.tier_shared, stats.selectivity_tier_hits[0]);
+  add(m.tier_histogram, stats.selectivity_tier_hits[1]);
+  add(m.tier_probe, stats.selectivity_tier_hits[2]);
+  add(m.shared_published, stats.shared_published);
 }
 
-void MalivaService::RecordErrorMetrics(double wall_ms) const {
-  const ServeMetrics& m = serve_metrics_;
-  if (m.requests_error == nullptr) return;
-  m.requests_error->Increment();
-  m.serve_latency->Record(wall_ms);
+void MalivaService::RecordError(double wall_ms) const {
+  serve_metrics_.requests_error->Increment();
+  serve_metrics_.serve_latency->Record(wall_ms);
 }
 
 Result<RewriteResponse> MalivaService::ServeIndexed(const RewriteRequest& request,
                                                     uint64_t request_index) const {
-  // Telemetry wrapper: time the request on the host wall clock (the one
+  // Accounting wrapper: time the request on the host wall clock (the one
   // quantity virtual time cannot provide) and fold its accounting into the
   // service counters, errors included.
   auto wall_start = std::chrono::steady_clock::now();
@@ -677,22 +668,9 @@ Result<RewriteResponse> MalivaService::ServeIndexed(const RewriteRequest& reques
   if (result.ok()) {
     RewriteResponse& resp = result.value();
     resp.stats.serve_wall_ms = wall_ms;
-    if (resp.stats.result_cache_hit) {
-      // A replayed decision: its selectivity counters are the template of
-      // the miss that computed it, already folded in when that miss served.
-      // Count the request without re-billing work nobody did.
-      telemetry_.RecordServedCached(resp.exact_fallback, wall_ms);
-    } else {
-      telemetry_.RecordServed(resp.stats.selectivities_collected,
-                              resp.stats.shared_hits, resp.stats.shared_published,
-                              resp.stats.selectivity_tier_hits[1],
-                              resp.stats.selectivity_tier_hits[2],
-                              resp.exact_fallback, wall_ms);
-    }
-    RecordServedMetrics(resp, wall_ms);
+    RecordServed(resp, wall_ms);
   } else {
-    telemetry_.RecordError(wall_ms);
-    RecordErrorMetrics(wall_ms);
+    RecordError(wall_ms);
   }
   return result;
 }
@@ -923,35 +901,47 @@ Result<RewriteResponse> MalivaService::ServeImpl(const RewriteRequest& request,
 }
 
 ServiceStats MalivaService::Stats() const {
-  ServiceStats stats = telemetry_.Snapshot();
-  // store_* fields stay identically zero while the plane is off (the
+  // Every counter field is a read of the handle its serve-path record
+  // increments — the registry is the counters' only store.
+  const ServeMetrics& m = serve_metrics_;
+  ServiceStats stats;
+  stats.errors = m.requests_error->Value();
+  stats.requests = m.requests_ok->Value() + stats.errors;
+  stats.exact_fallbacks = m.exact_fallbacks->Value();
+  stats.shared_hits = m.tier_shared->Value();
+  stats.histogram_hits = m.tier_histogram->Value();
+  stats.probe_collections = m.tier_probe->Value();
+  // The two paid rungs partition every collected slot.
+  stats.selectivities_collected = stats.histogram_hits + stats.probe_collections;
+  stats.shared_published = m.shared_published->Value();
+  stats.result_cache_hits = m.cache.hits->Value();
+  stats.result_cache_misses = m.cache.misses->Value();
+  stats.result_cache_coalesced = m.cache.coalesced->Value();
+  stats.result_cache_evictions = m.cache.evictions->Value();
+  stats.result_cache_stale_declines = m.cache.stale_declines->Value();
+  stats.admission_admitted = m.admission_admitted->Value();
+  stats.admission_degraded = m.admission_degraded->Value();
+  stats.admission_shed_deadline = m.admission_shed_deadline->Value();
+  stats.admission_shed_overload = m.admission_shed_overload->Value();
+  stats.admission_queue_wait_ms_total = m.queue_wait->SumMs();
+  stats.serve_wall_ms_total = m.serve_latency->SumMs();
+
+  // Plane-owned fields stay identically zero while their plane is off (the
   // documented ServiceStats contract).
   if (state_.shared_store != nullptr) {
     stats.store_size = state_.shared_store->Size();
     stats.store_evictions = state_.shared_store->Evictions();
     stats.store_epoch = scenario_->engine->catalog_version();
   }
-  // histogram_* tier-health fields stay identically zero while the tier is
-  // off; the per-rung hit counters above are recorded unconditionally.
   if (state_.selectivity_tier != nullptr) {
     SelectivityTier::Stats tier = state_.selectivity_tier->Snapshot();
     stats.histogram_mean_abs_rel_error = tier.mean_abs_rel_error;
     stats.histogram_error_samples = tier.error_samples;
     stats.histogram_demoted_columns = tier.demoted_columns;
   }
-  // result_cache_* fields stay identically zero while the cache is off
-  // (the documented ServiceStats contract, mirroring the store_* fields).
   if (state_.result_cache != nullptr) {
-    RewriteResultCache::Stats cache = state_.result_cache->Snapshot();
-    stats.result_cache_hits = cache.hits;
-    stats.result_cache_misses = cache.misses;
-    stats.result_cache_coalesced = cache.coalesced;
-    stats.result_cache_evictions = cache.evictions;
-    stats.result_cache_stale_declines = cache.stale_declines;
-    stats.result_cache_size = cache.size;
+    stats.result_cache_size = state_.result_cache->Size();
   }
-  // online_* fields stay identically zero while the plane is off (the
-  // documented ServiceStats contract, mirroring the store_* fields).
   if (state_.continual_trainer != nullptr) {
     ContinualTrainer::StatsSnapshot online = state_.continual_trainer->Snapshot();
     stats.online_transitions = online.transitions_recorded;
@@ -963,16 +953,11 @@ ServiceStats MalivaService::Stats() const {
     stats.last_retrain_reward_pre = online.last_reward_pre;
     stats.last_retrain_reward_post = online.last_reward_post;
   }
-  // Gauge refresh (metrics on only): gauges mirror plane sizes at snapshot
-  // time, so they update where the sizes are read — Stats() and the fleet's
-  // flusher both route through here.
-  if (metrics_registry_ != nullptr) {
-    serve_metrics_.result_cache_entries->Set(
-        static_cast<int64_t>(stats.result_cache_size));
-    serve_metrics_.shared_store_entries->Set(static_cast<int64_t>(stats.store_size));
-    serve_metrics_.agent_snapshot_version->Set(
-        static_cast<int64_t>(stats.online_snapshot_version));
-  }
+  // Gauges mirror plane sizes at snapshot time, so they update where the
+  // sizes are read — Stats() and the fleet's flusher both route through here.
+  m.result_cache_entries->Set(static_cast<int64_t>(stats.result_cache_size));
+  m.shared_store_entries->Set(static_cast<int64_t>(stats.store_size));
+  m.agent_snapshot_version->Set(static_cast<int64_t>(stats.online_snapshot_version));
   return stats;
 }
 
@@ -1068,8 +1053,7 @@ std::vector<Result<RewriteResponse>> MalivaService::ServeBatch(
     if (!led.ok()) {
       // The leader's error is this context's answer (identical requests fail
       // identically); replaying it keeps per-slot outcomes consistent.
-      telemetry_.RecordError(0.0);
-      RecordErrorMetrics(0.0);
+      RecordError(0.0);
       slots[i] = led.status();
       continue;
     }
@@ -1082,8 +1066,7 @@ std::vector<Result<RewriteResponse>> MalivaService::ServeBatch(
                          std::chrono::steady_clock::now() - wall_start)
                          .count();
     resp.stats.serve_wall_ms = wall_ms;
-    telemetry_.RecordServedCached(resp.exact_fallback, wall_ms);
-    RecordServedMetrics(resp, wall_ms);
+    RecordServed(resp, wall_ms);
     rcache->NoteCoalesced(1);
     slots[i] = std::move(resp);
   }

@@ -54,7 +54,7 @@
 #include "query/signature.h"
 #include "service/rewriter_factory.h"
 #include "service/serving_state.h"
-#include "service/serving_telemetry.h"
+#include "service/serving_stats.h"
 #include "util/metrics.h"
 #include "util/status.h"
 #include "workload/scenario.h"
@@ -217,18 +217,10 @@ struct ServiceConfig {
   /// Profile every Nth request (1 = all). Must be >= 1 when profiling is on.
   size_t profile_sample_every = 1;
 
-  /// Metrics plane (DESIGN.md "Observability plane"). Off (the default): no
-  /// registry is constructed, the serve path holds one null-pointer check
-  /// per would-be record, and responses stay byte-identical to pre-metrics
-  /// behavior. On: the service owns a MetricsRegistry of labeled counters,
-  /// gauges, and latency histograms (serve latency, queue wait, cache/tier/
-  /// admission outcomes), with every handle pre-resolved at construction so
-  /// the hot path performs zero registry map lookups. Pure measurement —
-  /// nothing recorded ever feeds back into a decision.
-  bool metrics = false;
-  /// Value of the `scenario` base label stamped on every series (the fleet
+  /// Value of the `scenario` base label stamped on every series of the
+  /// service's MetricsRegistry (DESIGN.md "Observability plane"; the fleet
   /// sets this to the shard's routing key at registration). Empty = no
-  /// scenario label. Requires `metrics`.
+  /// scenario label.
   std::string metrics_scenario;
 
   /// Upper bound Validate() accepts for num_threads.
@@ -382,30 +374,25 @@ struct ServiceConfig {
     profile_sample_every = every;
     return *this;
   }
-  ServiceConfig& WithMetrics(bool enabled) {
-    metrics = enabled;
-    return *this;
-  }
   ServiceConfig& WithMetricsScenario(std::string scenario) {
     metrics_scenario = std::move(scenario);
     return *this;
   }
 };
 
-/// Pre-resolved metric handles for the serve hot path (ISSUE 10): every
-/// pointer is resolved from the service's MetricsRegistry exactly once, at
-/// construction, so recording is relaxed atomic ops only — zero map lookups
-/// per request (provable via MetricsRegistry::lookups()). All null while
-/// ServiceConfig::metrics is off; the admission/queue-wait handles are
-/// recorded by the fleet's gate path (a shed request never reaches the
-/// shard's own serve path).
+/// Pre-resolved metric handles of one service: every pointer is resolved
+/// from the service's MetricsRegistry exactly once, at construction, and is
+/// never null, so recording is relaxed atomic ops only — zero map lookups
+/// per request (provable via MetricsRegistry::lookups()). These handles are
+/// the only store of the serving counters: Stats() reads them back. The
+/// admission/queue-wait handles are recorded by the fleet's gate path (a
+/// shed request never reaches the shard's own serve path); the cache
+/// handles by the rewrite-result cache itself.
 struct ServeMetrics {
   Counter* requests_ok = nullptr;       ///< maliva_requests_total{verdict="ok"}
   Counter* requests_error = nullptr;    ///< maliva_requests_total{verdict="error"}
   Counter* exact_fallbacks = nullptr;   ///< maliva_exact_fallbacks_total
-  Counter* cache_hits = nullptr;        ///< maliva_result_cache_total{outcome="hit"}
-  Counter* cache_misses = nullptr;      ///< maliva_result_cache_total{outcome="miss"}
-  Counter* cache_coalesced = nullptr;   ///< maliva_result_cache_total{outcome="coalesced"}
+  Counter* shared_published = nullptr;  ///< maliva_shared_published_total
   Counter* tier_shared = nullptr;       ///< maliva_selectivity_slots_total{rung="shared"}
   Counter* tier_histogram = nullptr;    ///< maliva_selectivity_slots_total{rung="histogram"}
   Counter* tier_probe = nullptr;        ///< maliva_selectivity_slots_total{rung="probe"}
@@ -413,6 +400,7 @@ struct ServeMetrics {
   Counter* admission_degraded = nullptr;       ///< maliva_admission_total{verdict="degraded"}
   Counter* admission_shed_deadline = nullptr;  ///< maliva_admission_total{verdict="shed_deadline"}
   Counter* admission_shed_overload = nullptr;  ///< maliva_admission_total{verdict="shed_overload"}
+  RewriteResultCache::Counters cache;          ///< RewriteResultCache::CountersIn
   LatencyHistogram* serve_latency = nullptr;   ///< maliva_serve_latency_ms
   LatencyHistogram* queue_wait = nullptr;      ///< maliva_queue_wait_ms
   Gauge* result_cache_entries = nullptr;       ///< maliva_result_cache_entries
@@ -438,8 +426,8 @@ struct RewriteRequest {
   std::optional<double> quality_floor;
 };
 
-// RequestStats (the per-request telemetry carried on the response) lives in
-// serving_telemetry.h: the rewrite-result cache stores a stats template per
+// RequestStats (the per-request accounting carried on the response) lives in
+// serving_stats.h: the rewrite-result cache stores a stats template per
 // entry and must see the definition without this header.
 
 /// One rewriting response.
@@ -455,7 +443,7 @@ struct RewriteResponse {
   std::string rewritten_sql;
   /// True when quality_floor forced the exact-baseline fallback.
   bool exact_fallback = false;
-  /// Per-request serving telemetry (selectivity accounting, wall latency).
+  /// Per-request serving stats (selectivity accounting, wall latency).
   RequestStats stats;
 };
 
@@ -530,7 +518,7 @@ class MalivaService {
   /// a miss). Returns nullopt on any miss — cache off, invalid request,
   /// cold strategy, absent or stale entry — in which case nothing was
   /// counted and the caller proceeds down the normal serve path. A hit is
-  /// recorded in the service telemetry exactly like a served request.
+  /// recorded in the service's counters exactly like a served request.
   std::optional<RewriteResponse> TryServeCached(const RewriteRequest& request) const;
 
   /// Strategy names registered in the global factory. A given instance may
@@ -539,11 +527,13 @@ class MalivaService {
   std::vector<std::string> RegisteredStrategies() const;
 
   /// Snapshot of the serving counters (requests, errors, fallbacks, shared
-  /// hits vs local collections, wall latency) plus the shared store's size,
+  /// hits vs local collections, cache and gate outcomes, wall latency),
+  /// read from the registry handles, plus the shared store's size,
   /// evictions, and current epoch, and — with online learning on — the
   /// newest agent snapshot version, transitions collected, retrain counts,
-  /// and the last round's pre/post validation rewards. Thread-safe; each
-  /// counter is individually exact, the snapshot is not a single atomic cut.
+  /// and the last round's pre/post validation rewards. Also refreshes the
+  /// plane-size gauges. Thread-safe; each counter is individually exact,
+  /// the snapshot is not a single atomic cut.
   ServiceStats Stats() const;
 
   /// Online learning plane accessors (null while
@@ -553,18 +543,16 @@ class MalivaService {
   ContinualTrainer* online_trainer() const { return state_.continual_trainer.get(); }
   ModelRegistry* model_registry() const { return state_.model_registry.get(); }
 
-  /// Metrics plane accessors (null while ServiceConfig::metrics is off).
+  /// The service's metric registry (DESIGN.md "Observability plane").
   /// serve_metrics() hands out the pre-resolved handle struct so external
   /// recorders (the fleet's gate path) never touch the registry map either.
-  MetricsRegistry* metrics_registry() const { return metrics_registry_.get(); }
-  const ServeMetrics* serve_metrics() const {
-    return metrics_registry_ == nullptr ? nullptr : &serve_metrics_;
-  }
+  MetricsRegistry& metrics_registry() const { return metrics_registry_; }
+  const ServeMetrics& serve_metrics() const { return serve_metrics_; }
 
   /// Decision-context fingerprint of `request` — the same canonicalized
   /// (signature, strategy, tau-bin) key the rewrite-result cache uses.
   /// Returns 0 when the request is invalid, the service is misconfigured, or
-  /// the strategy is not yet built (never builds, never counts telemetry).
+  /// the strategy is not yet built (never builds, never counts anything).
   /// Cold-path only: the fleet stamps it onto TraceEvents when the trace
   /// ring is enabled.
   uint64_t FingerprintRequest(const RewriteRequest& request) const;
@@ -627,7 +615,7 @@ class MalivaService {
  private:
   /// Serve body; `request_index` seeds the per-request session RNG (0 for
   /// single Serve calls, the batch position inside ServeBatch). Wraps
-  /// ServeImpl with wall-clock timing and telemetry accounting.
+  /// ServeImpl with wall-clock timing and counter accounting.
   Result<RewriteResponse> ServeIndexed(const RewriteRequest& request,
                                        uint64_t request_index) const;
 
@@ -658,19 +646,16 @@ class MalivaService {
   /// Tau/floor binning of result-cache keys, derived from the config.
   FingerprintOptions fingerprint_options_;
 
-  /// Records the labeled serve-path metrics for one response (no-op while
-  /// metrics are off). Split from ServeIndexed so TryServeCached and the
-  /// replay phase of ServeBatch share the exact outcome classification.
-  void RecordServedMetrics(const RewriteResponse& response, double wall_ms) const;
-  void RecordErrorMetrics(double wall_ms) const;
+  /// The one record call per served response and per error: ServeIndexed,
+  /// TryServeCached and the replay phase of ServeBatch all count through
+  /// these, so every path shares the exact outcome classification.
+  void RecordServed(const RewriteResponse& response, double wall_ms) const;
+  void RecordError(double wall_ms) const;
 
-  /// Serving counters behind Stats(); internally atomic.
-  mutable ServingTelemetry telemetry_;
-
-  /// Metrics plane (ISSUE 10): constructed only when config_.metrics is on.
-  /// All serve_metrics_ handles resolve at construction — the serve path is
-  /// one null check plus relaxed atomics, zero registry lookups.
-  std::unique_ptr<MetricsRegistry> metrics_registry_;
+  /// The only store of the serving counters; every serve_metrics_ handle
+  /// resolves at construction, so the serve path is relaxed atomics with
+  /// zero registry lookups.
+  mutable MetricsRegistry metrics_registry_;
   ServeMetrics serve_metrics_;
 
   /// Guards mutation of `state_` (strategy builds, SetApproxRules). Reads

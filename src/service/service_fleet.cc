@@ -30,11 +30,6 @@ Status FleetConfig::Validate() const {
         std::to_string(warmup_threads) + "; likely an unsigned wrap-around)");
   }
   MALIVA_RETURN_NOT_OK(admission.Validate());
-  if (metrics_flush_ms > 0 && !defaults.metrics) {
-    return Status::InvalidArgument(
-        "metrics_flush_ms requires defaults.metrics (there is no registry to "
-        "snapshot)");
-  }
   if (slo_watchdog) {
     if (metrics_flush_ms == 0) {
       return Status::InvalidArgument(
@@ -112,6 +107,17 @@ void AccumulateInto(ServiceStats& totals, const ServiceStats& shard) {
   totals.admission_shed_overload += shard.admission_shed_overload;
   totals.admission_queue_wait_ms_total += shard.admission_queue_wait_ms_total;
   totals.serve_wall_ms_total += shard.serve_wall_ms_total;
+}
+
+/// The shard's registry counter for one gate verdict.
+Counter* VerdictCounter(const ServeMetrics& m, AdmissionDecision decision) {
+  switch (decision) {
+    case AdmissionDecision::kAdmit: return m.admission_admitted;
+    case AdmissionDecision::kDegrade: return m.admission_degraded;
+    case AdmissionDecision::kShedDeadline: return m.admission_shed_deadline;
+    case AdmissionDecision::kShedOverload: return m.admission_shed_overload;
+  }
+  return m.admission_admitted;  // unreachable: the switch is exhaustive
 }
 
 }  // namespace
@@ -203,10 +209,8 @@ void MalivaFleet::AppendTrace(const Shard& shard, const RewriteRequest& request,
 MetricsSnapshot MalivaFleet::SnapshotMetrics() const {
   MetricsSnapshot merged;
   for (const std::shared_ptr<Shard>& shard : router_.List()) {
-    MetricsRegistry* registry = shard->service->metrics_registry();
-    if (registry == nullptr) continue;
     (void)shard->service->Stats();  // refreshes the plane-size gauges
-    merged.MergeFrom(registry->Snapshot());
+    merged.MergeFrom(shard->service->metrics_registry().Snapshot());
   }
   return merged;
 }
@@ -229,11 +233,8 @@ Status MalivaFleet::RegisterScenario(const std::string& id, Scenario* scenario,
   ServiceConfig shard_config = config_.defaults;
   if (tune) tune(shard_config);
   // Stamp the routing key as the shard's scenario label (after tune, so an
-  // explicit per-shard override wins; before Validate, which rejects a
-  // label without metrics).
-  if (shard_config.metrics && shard_config.metrics_scenario.empty()) {
-    shard_config.metrics_scenario = id;
-  }
+  // explicit per-shard override wins).
+  if (shard_config.metrics_scenario.empty()) shard_config.metrics_scenario = id;
   MALIVA_RETURN_NOT_OK(shard_config.Validate());
 
   auto shard = std::make_shared<Shard>(
@@ -326,12 +327,10 @@ void MalivaFleet::SubmitAdmitted(
   // answered inline; the serve-time EWMA is left untouched (an O(1) replay
   // would talk the degrade predictor into admitting searches it cannot
   // afford).
+  const ServeMetrics& sm = shard->service->serve_metrics();
   if (std::optional<RewriteResponse> cached =
           shard->service->TryServeCached(request)) {
-    admission_->RecordDecision(shard->id, AdmissionDecision::kAdmit);
-    if (const ServeMetrics* sm = shard->service->serve_metrics()) {
-      sm->admission_admitted->Increment();
-    }
+    sm.admission_admitted->Increment();
     AppendTrace(*shard, request, "admitted", &*cached, /*queue_wait_ms=*/0.0);
     done(std::move(*cached));
     return;
@@ -344,12 +343,8 @@ void MalivaFleet::SubmitAdmitted(
       arrival_ms, deadline_ms, scheduler.QueueDepth(), scheduler.workers());
   if (decision == AdmissionDecision::kShedDeadline ||
       decision == AdmissionDecision::kShedOverload) {
-    admission_->RecordDecision(shard->id, decision);
+    VerdictCounter(sm, decision)->Increment();
     const bool deadline_shed = decision == AdmissionDecision::kShedDeadline;
-    if (const ServeMetrics* sm = shard->service->serve_metrics()) {
-      (deadline_shed ? sm->admission_shed_deadline : sm->admission_shed_overload)
-          ->Increment();
-    }
     AppendTrace(*shard, request,
                 deadline_shed ? "shed_deadline" : "shed_overload",
                 /*response=*/nullptr, /*queue_wait_ms=*/0.0);
@@ -373,18 +368,16 @@ void MalivaFleet::SubmitAdmitted(
   job.run = [this, shard, effective = std::move(effective), arrival_ms,
              deadline_ms, shard_index, degraded, decision,
              done = std::move(done)]() mutable {
+    const ServeMetrics& sm = shard->service->serve_metrics();
     const double start_ms = NowMs();
     const double queue_wait_ms = std::max(0.0, start_ms - arrival_ms);
-    admission_->RecordQueueWait(shard->id, queue_wait_ms);
-    const ServeMetrics* sm = shard->service->serve_metrics();
-    if (sm != nullptr) sm->queue_wait->Record(queue_wait_ms);
+    sm.queue_wait->Record(queue_wait_ms);
     if (start_ms >= deadline_ms) {
       // Dispatch-time recheck: the job aged out while queued. EDF makes this
       // the request that was *most* entitled to run, so everything behind it
       // is doomed too unless load lets up — shedding now still beats
       // spending a worker on an answer that already missed its budget.
-      admission_->RecordDecision(shard->id, AdmissionDecision::kShedDeadline);
-      if (sm != nullptr) sm->admission_shed_deadline->Increment();
+      sm.admission_shed_deadline->Increment();
       AppendTrace(*shard, effective, "shed_deadline", /*response=*/nullptr,
                   queue_wait_ms);
       done(AdmissionController::ShedStatus(AdmissionDecision::kShedDeadline,
@@ -394,11 +387,8 @@ void MalivaFleet::SubmitAdmitted(
     }
     Result<RewriteResponse> response =
         shard->service->ServeAt(effective, shard_index);
-    admission_->RecordDecision(shard->id, decision);
+    VerdictCounter(sm, decision)->Increment();
     admission_->RecordServeMs(NowMs() - start_ms);
-    if (sm != nullptr) {
-      (degraded ? sm->admission_degraded : sm->admission_admitted)->Increment();
-    }
     if (response.ok()) {
       response.value().stats.degraded = degraded;
       response.value().stats.queue_wait_ms = queue_wait_ms;
@@ -593,35 +583,27 @@ FleetStats MalivaFleet::Stats() const {
   FleetStats stats;
   stats.routing_errors = routing_errors_.load(std::memory_order_relaxed);
   for (const std::shared_ptr<Shard>& shard : router_.List()) {
+    // The shard's row carries its gate verdicts too: the fleet records them
+    // into the shard's registry (a shed request never reaches the shard's
+    // serve path, but its verdict lands there all the same).
     ServiceStats shard_stats = shard->service->Stats();
-    if (admission_ != nullptr) {
-      // The gate's verdicts are fleet-side state (a shed request never
-      // reaches the shard); layer them onto the shard's own snapshot here.
-      AdmissionCounters gate = admission_->CountersFor(shard->id);
-      shard_stats.admission_admitted = gate.admitted;
-      shard_stats.admission_degraded = gate.degraded;
-      shard_stats.admission_shed_deadline = gate.shed_deadline;
-      shard_stats.admission_shed_overload = gate.shed_overload;
-      shard_stats.admission_queue_wait_ms_total = gate.queue_wait_ms_total;
-    }
     // Merge the shard's labeled metric series (the Stats() call above just
     // refreshed its gauges); scenario labels keep shards distinguishable
     // after the merge.
-    if (MetricsRegistry* registry = shard->service->metrics_registry()) {
-      stats.metrics.MergeFrom(registry->Snapshot());
-    }
+    stats.metrics.MergeFrom(shard->service->metrics_registry().Snapshot());
     AccumulateInto(stats.totals, shard_stats);
     stats.shards.emplace_back(shard->id, std::move(shard_stats));
   }
   stats.scenarios = stats.shards.size();
   if (admission_ != nullptr) {
+    // Counters are the sum of the registered shards' rows; the backlog and
+    // the serve-time estimate are live reads of the gate.
     stats.admission.enabled = true;
-    AdmissionCounters totals = admission_->TotalCounters();
-    stats.admission.admitted = totals.admitted;
-    stats.admission.degraded = totals.degraded;
-    stats.admission.shed_deadline = totals.shed_deadline;
-    stats.admission.shed_overload = totals.shed_overload;
-    stats.admission.queue_wait_ms_total = totals.queue_wait_ms_total;
+    stats.admission.admitted = stats.totals.admission_admitted;
+    stats.admission.degraded = stats.totals.admission_degraded;
+    stats.admission.shed_deadline = stats.totals.admission_shed_deadline;
+    stats.admission.shed_overload = stats.totals.admission_shed_overload;
+    stats.admission.queue_wait_ms_total = stats.totals.admission_queue_wait_ms_total;
     stats.admission.queue_depth = Scheduler().QueueDepth();
     stats.admission.estimated_serve_ms = admission_->EstimatedServeMs();
   }

@@ -2,8 +2,8 @@
 //
 // A MalivaService hosts exactly one scenario. The fleet hosts N of them as
 // shards — each a full, isolated per-scenario stack (ServingState, shared
-// selectivity store, model registry / continual trainer, telemetry) — and
-// routes every request by its RewriteRequest::scenario key:
+// selectivity store, model registry / continual trainer, metric registry) —
+// and routes every request by its RewriteRequest::scenario key:
 //
 //   MalivaFleet fleet(FleetConfig().WithDefaults(
 //       ServiceConfig().WithAgentSeeds(1)));
@@ -83,9 +83,9 @@ struct FleetConfig {
   /// admission.degrade_strategy (flagged in RewriteResponse::stats).
   AdmissionConfig admission;
 
-  /// Metrics flusher cadence (DESIGN.md "Observability plane"): with
-  /// defaults.metrics on and this > 0, a background thread snapshots the
-  /// merged per-shard registries every `metrics_flush_ms` and retains a
+  /// Metrics flusher cadence (DESIGN.md "Observability plane"): > 0 starts
+  /// a background thread that snapshots the merged per-shard registries
+  /// every `metrics_flush_ms` and retains a
   /// bounded ring of time-windowed deltas (the SLO watchdog's input;
   /// MetricsFlusher::Windows() for operators). 0 (the default) = no thread.
   size_t metrics_flush_ms = 0;
@@ -105,8 +105,7 @@ struct FleetConfig {
   /// Rejects fleet-level pathologies (thread-count wrap-arounds), any
   /// defect in `defaults` (ServiceConfig::Validate()), any bad admission
   /// knob (AdmissionConfig::Validate()), and inconsistent observability
-  /// knobs (a flusher without metrics, a watchdog without a flusher or a
-  /// gate); checked once at fleet construction, a failure surfaces from
+  /// knobs (a watchdog without a flusher or a gate); checked once at fleet construction, a failure surfaces from
   /// every Register/Serve call.
   Status Validate() const;
 
@@ -166,13 +165,14 @@ struct ScenarioInfo {
   /// when warm-up is disabled); a failure leaves the shard serving lazily
   /// but is surfaced here for operators.
   Status warmup;
-  /// Requests this shard has served (errors included), from its telemetry.
+  /// Requests this shard has served (errors included), from its registry's
+  /// maliva_requests_total series.
   uint64_t requests = 0;
 };
 
 /// Overload-control snapshot inside FleetStats (all-zero with the plane
-/// off; the per-shard ServiceStats rows carry the same counters split by
-/// scenario).
+/// off). The counters are the sums of the registered shards' admission_*
+/// rows — an evicted shard's verdicts leave the totals with its row.
 struct FleetAdmissionStats {
   bool enabled = false;
   uint64_t admitted = 0;
@@ -202,12 +202,11 @@ struct FleetStats {
   /// Overload control plane rollup (FleetConfig::admission).
   FleetAdmissionStats admission;
   /// Per-shard snapshots, ordered by scenario id. With admission on, each
-  /// row's admission_* fields carry that scenario's gate outcomes.
+  /// row's admission_* fields carry that shard's gate outcomes.
   std::vector<std::pair<std::string, ServiceStats>> shards;
-  /// Merged per-shard metric registries (empty while defaults.metrics is
-  /// off): every shard's labeled counters/gauges/histograms in one
-  /// snapshot, scenario label included, renderable via RenderPrometheus()/
-  /// RenderJson().
+  /// Merged per-shard metric registries: every shard's labeled counters/
+  /// gauges/histograms in one snapshot, scenario label included, renderable
+  /// via RenderPrometheus()/RenderJson().
   MetricsSnapshot metrics;
   /// SLO watchdog verdicts over the flusher's newest windows, ordered by
   /// scenario (empty while FleetConfig::slo_watchdog is off).
@@ -343,9 +342,8 @@ class MalivaFleet {
                    const char* verdict, const RewriteResponse* response,
                    double queue_wait_ms) const;
 
-  /// Merged MetricsSnapshot across every registered shard's registry (an
-  /// empty snapshot while defaults.metrics is off) — the flusher's snapshot
-  /// fn and FleetStats::metrics.
+  /// Merged MetricsSnapshot across every registered shard's registry — the
+  /// flusher's snapshot fn.
   MetricsSnapshot SnapshotMetrics() const;
 
   /// FleetConfig::num_threads with 0 resolved to hardware concurrency; the

@@ -1,23 +1,20 @@
-// Serving telemetry: fleet-level counters for the cross-request knowledge
-// plane and the serve path.
+// Serving stats: the per-request accounting carried on every response
+// (RequestStats) and the service's counter view (ServiceStats).
 //
-// Every Serve/ServeBatch request folds its per-request accounting (shared
-// hits vs local selectivity collections, quality-floor fallbacks, wall-clock
-// latency) into one ServingTelemetry owned by the service; benches and
-// operators read consistent-enough snapshots through MalivaService::Stats().
-// Counters are independent relaxed atomics — cheap on the hot path; a
-// snapshot is not a single atomic cut across counters, which is fine for
-// monitoring (each counter is individually exact).
+// Every counter in ServiceStats is read from the service's MetricsRegistry
+// (DESIGN.md "Observability plane"): each serve records into pre-resolved
+// relaxed-atomic handles exactly once, and MalivaService::Stats() reads
+// those same handles back. A snapshot is not a single atomic cut across
+// counters, which is fine for monitoring (each counter is individually
+// exact).
 //
 // Note the two time axes: everything in RewriteOutcome is deterministic
 // *virtual* time (DESIGN.md "Virtual time"); serve latency here is host
 // wall-clock time, the one quantity that must be measured, not modeled.
 
-#ifndef MALIVA_SERVICE_SERVING_TELEMETRY_H_
-#define MALIVA_SERVICE_SERVING_TELEMETRY_H_
+#ifndef MALIVA_SERVICE_SERVING_STATS_H_
+#define MALIVA_SERVICE_SERVING_STATS_H_
 
-#include <atomic>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -26,7 +23,7 @@
 
 namespace maliva {
 
-/// Per-request serving telemetry carried on the response. The counters are
+/// Per-request serving accounting carried on the response. The counters are
 /// deterministic given the shared-store snapshot the request saw;
 /// selectivities_collected is populated in every mode (it is the request's
 /// full bill when cross_request_cache is off), while the shared_* fields
@@ -77,16 +74,19 @@ struct RequestStats {
   std::optional<ProfileBreakdown> profile;
 };
 
-/// One consistent-enough snapshot of the service's serving counters.
+/// One consistent-enough snapshot of the service's serving counters. Every
+/// counter field is a read of one registry series (docs/observability.md
+/// maps field to series); the store_*, histogram health, result_cache_size
+/// and online_* fields come from their planes at snapshot time.
 struct ServiceStats {
   uint64_t requests = 0;         ///< Serve calls (batch members included)
   uint64_t errors = 0;           ///< requests answered with a non-OK Status
   uint64_t exact_fallbacks = 0;  ///< quality-floor fallbacks to "baseline"
 
   // Knowledge plane. selectivities_collected is meaningful in every mode
-  // (with cross_request_cache off it is simply each request's full bill);
-  // the shared_* and store_* fields are identically zero while the plane
-  // is off.
+  // (with cross_request_cache off it is simply each request's full bill)
+  // and always equals histogram_hits + probe_collections; the shared_* and
+  // store_* fields are identically zero while the plane is off.
   uint64_t selectivities_collected = 0;  ///< slots paid for by requests
   uint64_t shared_hits = 0;              ///< slots served free from the store
   uint64_t shared_published = 0;         ///< new entries contributed
@@ -107,13 +107,17 @@ struct ServiceStats {
   uint64_t histogram_demoted_columns = 0;     ///< columns demoted to probing
 
   // Rewrite-result cache (DESIGN.md "Rewrite-result cache"; identically
-  // zero while ServiceConfig::result_cache is off). hits/misses/coalesced
-  // partition the cache-probed requests: replayed from a resident entry,
-  // computed (leader or solo), or served by another request's in-flight
-  // search. stale_declines counts fingerprint matches refused because their
-  // epoch or snapshot context had moved on — the O(1) invalidation at work.
-  uint64_t result_cache_hits = 0;       ///< decisions replayed from the cache
-  uint64_t result_cache_misses = 0;     ///< decisions computed (and published)
+  // zero while ServiceConfig::result_cache is off), counted by the cache
+  // itself. hits and misses partition the cache probes: replayed from a
+  // resident entry (the admission gate's inline probe included), or not —
+  // leader, solo, or single-flight follower. coalesced counts requests
+  // served by another request's search: single-flight followers (also
+  // counted as misses) and ServeBatch in-batch dedup replays (never
+  // probed). stale_declines counts fingerprint matches refused because
+  // their epoch or snapshot context had moved on — the O(1) invalidation
+  // at work.
+  uint64_t result_cache_hits = 0;       ///< probes replayed from an entry
+  uint64_t result_cache_misses = 0;     ///< probes that found no live entry
   uint64_t result_cache_coalesced = 0;  ///< served by another's search
   uint64_t result_cache_evictions = 0;  ///< entries the CLOCK hand dropped
   uint64_t result_cache_stale_declines = 0;  ///< context-mismatch refusals
@@ -135,10 +139,10 @@ struct ServiceStats {
   double last_retrain_reward_post = 0.0; ///< fine-tuned clone's reward
 
   // Overload control plane (identically zero for a standalone MalivaService
-  // and while FleetConfig::admission is off). The fleet-level admission gate
-  // fills these per shard when it snapshots FleetStats — a shard's own
-  // telemetry never sees shed requests, which are refused before reaching
-  // any service.
+  // and while FleetConfig::admission is off). The fleet's admission gate
+  // records each verdict and queue wait into the shard's registry — shed
+  // requests are refused before reaching the shard's serve path, so they
+  // are counted here but never in `requests`.
   uint64_t admission_admitted = 0;       ///< gate verdicts: served as asked
   uint64_t admission_degraded = 0;       ///< served with the degrade strategy
   uint64_t admission_shed_deadline = 0;  ///< refused: deadline unmakeable
@@ -146,6 +150,8 @@ struct ServiceStats {
   double admission_queue_wait_ms_total = 0.0;  ///< summed scheduler queue wait
 
   double serve_wall_ms_total = 0.0;  ///< summed host wall-clock serve latency
+  // The two wall sums are the latency histograms' sums: each sample is
+  // rounded to the nearest microsecond (the exported `_sum` exactly).
 
   /// Fraction of needed selectivities that came free from the shared store.
   double SharedHitRatio() const {
@@ -158,78 +164,6 @@ struct ServiceStats {
   }
 };
 
-/// Thread-safe accumulator behind MalivaService::Stats().
-class ServingTelemetry {
- public:
-  /// Wall ms to integer ns for the latency accumulator, rounded to the
-  /// nearest nanosecond and clamped: NaN and negative inputs (a clock that
-  /// stepped backwards must not wrap the counter by ~2^64) account as 0,
-  /// and values beyond the representable range saturate instead of
-  /// overflowing the double->uint64 cast (UB).
-  static uint64_t WallMsToNs(double wall_ms) {
-    if (!(wall_ms > 0.0)) return 0;  // negatives and NaN clamp to zero
-    const double ns = wall_ms * 1e6;
-    if (ns >= 9.2e18) return UINT64_MAX;  // below 2^63, llround stays defined
-    return static_cast<uint64_t>(std::llround(ns));
-  }
-
-  void RecordServed(uint64_t collected, uint64_t shared_hits, uint64_t published,
-                    uint64_t histogram_hits, uint64_t probes,
-                    bool exact_fallback, double wall_ms) {
-    requests_.fetch_add(1, std::memory_order_relaxed);
-    collected_.fetch_add(collected, std::memory_order_relaxed);
-    shared_hits_.fetch_add(shared_hits, std::memory_order_relaxed);
-    published_.fetch_add(published, std::memory_order_relaxed);
-    histogram_hits_.fetch_add(histogram_hits, std::memory_order_relaxed);
-    probes_.fetch_add(probes, std::memory_order_relaxed);
-    if (exact_fallback) fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    wall_ns_.fetch_add(WallMsToNs(wall_ms), std::memory_order_relaxed);
-  }
-
-  /// A request answered from the rewrite-result cache: count the request
-  /// (and its response-level fallback flag), but none of the selectivity
-  /// counters — the cached template describes work the *original* miss did,
-  /// and re-folding it here would double-count the fleet's actual bill.
-  void RecordServedCached(bool exact_fallback, double wall_ms) {
-    requests_.fetch_add(1, std::memory_order_relaxed);
-    if (exact_fallback) fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    wall_ns_.fetch_add(WallMsToNs(wall_ms), std::memory_order_relaxed);
-  }
-
-  void RecordError(double wall_ms) {
-    requests_.fetch_add(1, std::memory_order_relaxed);
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    wall_ns_.fetch_add(WallMsToNs(wall_ms), std::memory_order_relaxed);
-  }
-
-  /// Counter part of the snapshot; the service layers the store fields on top.
-  ServiceStats Snapshot() const {
-    ServiceStats s;
-    s.requests = requests_.load(std::memory_order_relaxed);
-    s.errors = errors_.load(std::memory_order_relaxed);
-    s.exact_fallbacks = fallbacks_.load(std::memory_order_relaxed);
-    s.selectivities_collected = collected_.load(std::memory_order_relaxed);
-    s.shared_hits = shared_hits_.load(std::memory_order_relaxed);
-    s.shared_published = published_.load(std::memory_order_relaxed);
-    s.histogram_hits = histogram_hits_.load(std::memory_order_relaxed);
-    s.probe_collections = probes_.load(std::memory_order_relaxed);
-    s.serve_wall_ms_total =
-        static_cast<double>(wall_ns_.load(std::memory_order_relaxed)) / 1e6;
-    return s;
-  }
-
- private:
-  std::atomic<uint64_t> requests_{0};
-  std::atomic<uint64_t> errors_{0};
-  std::atomic<uint64_t> fallbacks_{0};
-  std::atomic<uint64_t> collected_{0};
-  std::atomic<uint64_t> shared_hits_{0};
-  std::atomic<uint64_t> published_{0};
-  std::atomic<uint64_t> histogram_hits_{0};
-  std::atomic<uint64_t> probes_{0};
-  std::atomic<uint64_t> wall_ns_{0};
-};
-
 }  // namespace maliva
 
-#endif  // MALIVA_SERVICE_SERVING_TELEMETRY_H_
+#endif  // MALIVA_SERVICE_SERVING_STATS_H_

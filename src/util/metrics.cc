@@ -148,8 +148,7 @@ uint64_t LatencyHistogram::TicksFor(double ms) {
 HistogramSnapshot LatencyHistogram::Snapshot() const {
   HistogramSnapshot snap;
   snap.count = count_.load(std::memory_order_relaxed);
-  snap.sum_ms =
-      static_cast<double>(sum_ticks_.load(std::memory_order_relaxed)) / 1000.0;
+  snap.sum_ms = SumMs();
   if (snap.count > 0) {
     snap.min_ms =
         static_cast<double>(min_ticks_.load(std::memory_order_relaxed)) / 1000.0;

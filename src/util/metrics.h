@@ -17,16 +17,16 @@
 // it — the QueryProfiler counting-clock pattern). Returned pointers are
 // stable for the registry's lifetime.
 //
-// Reading happens through MetricsSnapshot — a plain-value cut of every
-// series, mergeable across registries (MalivaFleet folds shard registries
+// Reading happens through the handles themselves (MalivaService::Stats()
+// reads Counter::Value() and LatencyHistogram::SumMs()) or through
+// MetricsSnapshot — a plain-value cut of every series, mergeable across registries (MalivaFleet folds shard registries
 // into FleetStats::metrics), subtractable for rate windows, and renderable
 // as Prometheus text exposition or a JSON dump. A MetricsFlusher cuts
 // windowed deltas every N ms into a bounded ring of time-windowed views,
 // which the SLO watchdog (service/trace_ring.h) evaluates burn rates over.
 //
 // Everything here is wall-clock-only measurement: no instrument ever feeds
-// back into a rewriting decision, so decision bytes are identical with
-// metrics on or off (the byte-identity contract).
+// back into a rewriting decision.
 
 #ifndef MALIVA_UTIL_METRICS_H_
 #define MALIVA_UTIL_METRICS_H_
@@ -145,8 +145,14 @@ class LatencyHistogram {
 
   uint64_t Count() const { return count_.load(std::memory_order_relaxed); }
 
+  /// Sum of every recorded sample, each rounded to its microsecond tick
+  /// (the Snapshot's sum_ms without walking the buckets).
+  double SumMs() const {
+    return static_cast<double>(sum_ticks_.load(std::memory_order_relaxed)) / 1000.0;
+  }
+
   /// Consistent-enough cut (each bucket individually exact, not one atomic
-  /// cut across buckets — the monitoring contract of ServingTelemetry).
+  /// cut across buckets).
   HistogramSnapshot Snapshot() const;
 
   /// Millisecond value to clamped microsecond ticks.

@@ -10,12 +10,10 @@
 //     serve hot path performs zero registry map lookups;
 //   * both exporters are golden-stable for a fixed label set;
 //   * MetricsFlusher cuts windowed deltas and bounds its ring;
-//   * MalivaService with metrics on matches metrics-off decision bytes
-//     (byte-identity) and never touches the registry map while serving;
+//   * MalivaService's always-on registry is never touched by map lookups
+//     while serving, and its gauges refresh on Stats();
 //   * FleetStats::metrics aggregation is safe under concurrent serves and
-//     snapshots, monotone, and equals the sum of per-shard registries;
-//   * ServingTelemetry::WallMsToNs rounds instead of truncating and clamps
-//     negatives/NaN/overflow (the PR 10 accounting fix).
+//     snapshots, monotone, and equals the sum of per-shard registries.
 
 #include "util/metrics.h"
 
@@ -25,15 +23,12 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "service/service_fleet.h"
-#include "service/serving_telemetry.h"
 #include "util/rng.h"
-#include "workload/replay_driver.h"
 #include "workload/scenario.h"
 
 namespace maliva {
@@ -300,21 +295,6 @@ TEST(MetricsFlusherTest, RingKeepsNewestWindows) {
   EXPECT_EQ(windows[1].delta.CounterSum("c"), 4u);
 }
 
-// --------------------------------------------------------------- telemetry --
-
-TEST(MetricsTelemetryTest, WallMsToNsRoundsAndClamps) {
-  // The PR 10 satellite fix: wall_ms * 1e6 used to truncate (losing up to
-  // 1ns per request) and wrapped negative inputs to huge values.
-  EXPECT_EQ(ServingTelemetry::WallMsToNs(0.0), 0u);
-  EXPECT_EQ(ServingTelemetry::WallMsToNs(-1.5), 0u);
-  EXPECT_EQ(ServingTelemetry::WallMsToNs(std::nan("")), 0u);
-  EXPECT_EQ(ServingTelemetry::WallMsToNs(1.5), 1500000u);
-  // 0.0123456 ms = 12345.6 ns: truncation would say 12345, rounding 12346.
-  EXPECT_EQ(ServingTelemetry::WallMsToNs(0.0123456), 12346u);
-  EXPECT_EQ(ServingTelemetry::WallMsToNs(1e18),
-            std::numeric_limits<uint64_t>::max());
-}
-
 // ----------------------------------------------------------------- service --
 
 class MetricsServiceTest : public ::testing::Test {
@@ -346,28 +326,10 @@ class MetricsServiceTest : public ::testing::Test {
 
 Scenario* MetricsServiceTest::scenario_ = nullptr;
 
-TEST_F(MetricsServiceTest, MetricsScenarioRequiresMetrics) {
-  MalivaService service(scenario_,
-                        BaseConfig().WithMetricsScenario("tweets"));
-  RewriteRequest req;
-  req.query = scenario_->evaluation[0];
-  Result<RewriteResponse> resp = service.Serve(req);
-  ASSERT_FALSE(resp.ok());
-  EXPECT_EQ(resp.status().code(), Status::Code::kInvalidArgument);
-}
-
-TEST_F(MetricsServiceTest, OffByDefaultWithNullAccessors) {
-  MalivaService service(scenario_, BaseConfig());
-  EXPECT_EQ(service.metrics_registry(), nullptr);
-  EXPECT_EQ(service.serve_metrics(), nullptr);
-}
-
 TEST_F(MetricsServiceTest, ZeroRegistryLookupsOnServeHotPath) {
-  MalivaService service(scenario_,
-                        BaseConfig().WithMetrics(true).WithResultCache(true));
-  ASSERT_NE(service.metrics_registry(), nullptr);
+  MalivaService service(scenario_, BaseConfig().WithResultCache(true));
   ASSERT_TRUE(service.Warmup({"baseline"}).ok());
-  const uint64_t resolved = service.metrics_registry()->lookups();
+  const uint64_t resolved = service.metrics_registry().lookups();
   EXPECT_GT(resolved, 0u) << "construction resolves the handles";
 
   std::vector<RewriteRequest> requests;
@@ -380,11 +342,11 @@ TEST_F(MetricsServiceTest, ZeroRegistryLookupsOnServeHotPath) {
   std::vector<Result<RewriteResponse>> batch =
       service.ServeBatch(std::span<const RewriteRequest>(requests));
   for (const Result<RewriteResponse>& r : batch) ASSERT_TRUE(r.ok());
-  (void)service.Stats();
+  EXPECT_EQ(service.Stats().requests, 48u) << "Stats() reads the same handles";
 
-  EXPECT_EQ(service.metrics_registry()->lookups(), resolved)
+  EXPECT_EQ(service.metrics_registry().lookups(), resolved)
       << "serving touched the registry map";
-  MetricsSnapshot snap = service.metrics_registry()->Snapshot();
+  MetricsSnapshot snap = service.metrics_registry().Snapshot();
   EXPECT_EQ(snap.CounterSum("maliva_requests_total", {{"verdict", "ok"}}), 48u);
   EXPECT_EQ(snap.CounterSum("maliva_requests_total", {{"verdict", "error"}}), 0u);
   // Every serve recorded a latency sample.
@@ -399,38 +361,14 @@ TEST_F(MetricsServiceTest, ZeroRegistryLookupsOnServeHotPath) {
             48u);
 }
 
-TEST_F(MetricsServiceTest, MetricsOnOffByteIdentity) {
-  MalivaService off(scenario_, BaseConfig());
-  MalivaService on(scenario_, BaseConfig().WithMetrics(true));
-  ASSERT_TRUE(off.Warmup({"baseline"}).ok());
-  ASSERT_TRUE(on.Warmup({"baseline"}).ok());
-  std::vector<RewriteRequest> requests;
-  for (size_t i = 0; i < 30; ++i) {
-    RewriteRequest req;
-    req.query = scenario_->evaluation[i % scenario_->evaluation.size()];
-    if (i % 5 == 0) req.tau_ms = 250.0 + 10.0 * static_cast<double>(i);
-    requests.push_back(req);
-  }
-  std::vector<Result<RewriteResponse>> a =
-      off.ServeBatch(std::span<const RewriteRequest>(requests));
-  std::vector<Result<RewriteResponse>> b =
-      on.ServeBatch(std::span<const RewriteRequest>(requests));
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(ReplayDriver::ResponseDigest(a[i]), ReplayDriver::ResponseDigest(b[i]))
-        << "decision bytes diverged at request " << i;
-  }
-}
-
 TEST_F(MetricsServiceTest, GaugesRefreshOnStats) {
-  MalivaService service(scenario_,
-                        BaseConfig().WithMetrics(true).WithResultCache(true));
+  MalivaService service(scenario_, BaseConfig().WithResultCache(true));
   ASSERT_TRUE(service.Warmup({"baseline"}).ok());
   RewriteRequest req;
   req.query = scenario_->evaluation[0];
   ASSERT_TRUE(service.Serve(req).ok());
   (void)service.Stats();
-  MetricsSnapshot snap = service.metrics_registry()->Snapshot();
+  MetricsSnapshot snap = service.metrics_registry().Snapshot();
   int64_t entries = -1;
   for (const MetricsSnapshot::GaugeRow& row : snap.gauges) {
     if (row.name == "maliva_result_cache_entries") entries = row.value;
@@ -467,20 +405,13 @@ class MetricsFleetTest : public ::testing::Test {
 Scenario* MetricsFleetTest::scenario_a_ = nullptr;
 Scenario* MetricsFleetTest::scenario_b_ = nullptr;
 
-TEST_F(MetricsFleetTest, FlusherRequiresMetricsAndSloRequiresFlusher) {
-  FleetConfig no_metrics = FleetConfig().WithMetricsFlushMs(100);
-  EXPECT_EQ(no_metrics.Validate().code(), Status::Code::kInvalidArgument);
-  FleetConfig no_flusher =
-      FleetConfig()
-          .WithDefaults(ServiceConfig().WithMetrics(true))
-          .WithSloWatchdog(true)
-          .WithAdmission(AdmissionConfig().WithEnabled(true));
+TEST_F(MetricsFleetTest, SloWatchdogRequiresFlusherAndGate) {
+  FleetConfig no_flusher = FleetConfig().WithSloWatchdog(true).WithAdmission(
+      AdmissionConfig().WithEnabled(true));
   EXPECT_EQ(no_flusher.Validate().code(), Status::Code::kInvalidArgument);
-  FleetConfig no_gate = FleetConfig()
-                            .WithDefaults(ServiceConfig().WithMetrics(true))
-                            .WithMetricsFlushMs(100)
-                            .WithSloWatchdog(true);
+  FleetConfig no_gate = FleetConfig().WithMetricsFlushMs(100).WithSloWatchdog(true);
   EXPECT_EQ(no_gate.Validate().code(), Status::Code::kInvalidArgument);
+  EXPECT_TRUE(FleetConfig().WithMetricsFlushMs(100).Validate().ok());
 }
 
 TEST_F(MetricsFleetTest, ConcurrentServesAndSnapshotsAggregateExactly) {
@@ -492,7 +423,7 @@ TEST_F(MetricsFleetTest, ConcurrentServesAndSnapshotsAggregateExactly) {
                                           .WithTrainerIterations(3)
                                           .WithAgentSeeds(1)
                                           .WithDefaultStrategy("baseline")
-                                          .WithMetrics(true))
+                                          )
                         .WithWarmupStrategies({"baseline"}));
   ASSERT_TRUE(fleet.RegisterScenario("a", scenario_a_).ok());
   ASSERT_TRUE(fleet.RegisterScenario("b", scenario_b_).ok());
@@ -544,7 +475,7 @@ TEST_F(MetricsFleetTest, ConcurrentServesAndSnapshotsAggregateExactly) {
   for (const std::string& id : {"a", "b"}) {
     Result<std::shared_ptr<const MalivaService>> svc = fleet.ServiceFor(id);
     ASSERT_TRUE(svc.ok());
-    by_hand.MergeFrom(svc.value()->metrics_registry()->Snapshot());
+    by_hand.MergeFrom(svc.value()->metrics_registry().Snapshot());
   }
   uint64_t merged_count = 0;
   uint64_t by_hand_count = 0;

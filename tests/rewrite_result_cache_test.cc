@@ -23,6 +23,12 @@ namespace {
 
 // ------------------------------------------------------------ unit tests ---
 
+/// The cache's counters, resolved in a registry the test owns.
+struct TestCounters {
+  MetricsRegistry registry;
+  RewriteResultCache::Counters handles = RewriteResultCache::CountersIn(&registry);
+};
+
 /// Marker payloads: entries are told apart by outcome.total_ms.
 CachedRewrite Marked(double marker) {
   CachedRewrite value;
@@ -32,7 +38,8 @@ CachedRewrite Marked(double marker) {
 }
 
 TEST(ResultCacheUnitTest, BeginMissPublishHitRoundTrip) {
-  RewriteResultCache cache({.capacity = 16, .shards = 2});
+  TestCounters counted;
+  RewriteResultCache cache({.capacity = 16, .shards = 2}, counted.handles);
   RewriteResultCache::Ticket miss = cache.Begin(42, 1, 1);
   ASSERT_EQ(miss.role, RewriteResultCache::Role::kLeader);
   cache.Publish(miss, 42, 1, 1, Marked(7.0));
@@ -42,15 +49,15 @@ TEST(ResultCacheUnitTest, BeginMissPublishHitRoundTrip) {
   ASSERT_TRUE(hit.value.has_value());
   EXPECT_DOUBLE_EQ(hit.value->outcome.total_ms, 7.0);
 
-  RewriteResultCache::Stats stats = cache.Snapshot();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.size, 1u);
-  EXPECT_EQ(stats.stale_declines, 0u);
+  EXPECT_EQ(counted.handles.hits->Value(), 1u);
+  EXPECT_EQ(counted.handles.misses->Value(), 1u);
+  EXPECT_EQ(cache.Size(), 1u);
+  EXPECT_EQ(counted.handles.stale_declines->Value(), 0u);
 }
 
 TEST(ResultCacheUnitTest, ContextMismatchDeclinesAndReplacesInPlace) {
-  RewriteResultCache cache({.capacity = 16, .shards = 1});
+  TestCounters counted;
+  RewriteResultCache cache({.capacity = 16, .shards = 1}, counted.handles);
   RewriteResultCache::Ticket t = cache.Begin(42, /*epoch=*/1, /*snapshot=*/1);
   cache.Publish(t, 42, 1, 1, Marked(1.0));
 
@@ -60,7 +67,7 @@ TEST(ResultCacheUnitTest, ContextMismatchDeclinesAndReplacesInPlace) {
   ASSERT_EQ(stale.role, RewriteResultCache::Role::kLeader);
   cache.Publish(stale, 42, 2, 1, Marked(2.0));
   EXPECT_EQ(cache.Size(), 1u);
-  EXPECT_EQ(cache.Snapshot().stale_declines, 1u);
+  EXPECT_EQ(counted.handles.stale_declines->Value(), 1u);
 
   RewriteResultCache::Ticket hit = cache.Begin(42, 2, 1);
   ASSERT_EQ(hit.role, RewriteResultCache::Role::kHit);
@@ -70,11 +77,12 @@ TEST(ResultCacheUnitTest, ContextMismatchDeclinesAndReplacesInPlace) {
   RewriteResultCache::Ticket snap = cache.Begin(42, 2, /*snapshot=*/9);
   EXPECT_EQ(snap.role, RewriteResultCache::Role::kLeader);
   cache.Abort(snap, 42);
-  EXPECT_EQ(cache.Snapshot().stale_declines, 2u);
+  EXPECT_EQ(counted.handles.stale_declines->Value(), 2u);
 }
 
 TEST(ResultCacheUnitTest, ClockEvictionGivesReferencedEntriesASecondChance) {
-  RewriteResultCache cache({.capacity = 4, .shards = 1});
+  TestCounters counted;
+  RewriteResultCache cache({.capacity = 4, .shards = 1}, counted.handles);
   for (uint64_t key = 1; key <= 4; ++key) {
     RewriteResultCache::Ticket t = cache.Begin(key, 1, 1);
     ASSERT_EQ(t.role, RewriteResultCache::Role::kLeader);
@@ -88,7 +96,7 @@ TEST(ResultCacheUnitTest, ClockEvictionGivesReferencedEntriesASecondChance) {
   ASSERT_EQ(t5.role, RewriteResultCache::Role::kLeader);
   cache.Publish(t5, 5, 1, 1, Marked(5.0));
 
-  EXPECT_EQ(cache.Snapshot().evictions, 1u);
+  EXPECT_EQ(counted.handles.evictions->Value(), 1u);
   EXPECT_EQ(cache.Size(), 4u);
   EXPECT_EQ(cache.Begin(2, 1, 1).role, RewriteResultCache::Role::kHit);
   EXPECT_EQ(cache.Begin(5, 1, 1).role, RewriteResultCache::Role::kHit);
@@ -98,16 +106,18 @@ TEST(ResultCacheUnitTest, ClockEvictionGivesReferencedEntriesASecondChance) {
 }
 
 TEST(ResultCacheUnitTest, ShardCountIsClampedToCapacity) {
-  RewriteResultCache cache({.capacity = 3, .shards = 64});
+  TestCounters counted;
+  RewriteResultCache cache({.capacity = 3, .shards = 64}, counted.handles);
   EXPECT_EQ(cache.capacity(), 3u);
   EXPECT_EQ(cache.num_shards(), 3u);
-  RewriteResultCache floor({.capacity = 0, .shards = 0});
+  RewriteResultCache floor({.capacity = 0, .shards = 0}, counted.handles);
   EXPECT_EQ(floor.capacity(), 1u);
   EXPECT_EQ(floor.num_shards(), 1u);
 }
 
 TEST(ResultCacheUnitTest, FollowerReceivesLeaderValue) {
-  RewriteResultCache cache({.capacity = 16, .shards = 1});
+  TestCounters counted;
+  RewriteResultCache cache({.capacity = 16, .shards = 1}, counted.handles);
   RewriteResultCache::Ticket leader = cache.Begin(42, 1, 1);
   ASSERT_EQ(leader.role, RewriteResultCache::Role::kLeader);
 
@@ -128,11 +138,12 @@ TEST(ResultCacheUnitTest, FollowerReceivesLeaderValue) {
 
   ASSERT_TRUE(followed.has_value());
   EXPECT_DOUBLE_EQ(followed->outcome.total_ms, 7.0);
-  EXPECT_EQ(cache.Snapshot().coalesced, 1u);
+  EXPECT_EQ(counted.handles.coalesced->Value(), 1u);
 }
 
 TEST(ResultCacheUnitTest, AbortWakesFollowersEmptyAndFreesTheKey) {
-  RewriteResultCache cache({.capacity = 16, .shards = 1});
+  TestCounters counted;
+  RewriteResultCache cache({.capacity = 16, .shards = 1}, counted.handles);
   RewriteResultCache::Ticket leader = cache.Begin(42, 1, 1);
   ASSERT_EQ(leader.role, RewriteResultCache::Role::kLeader);
 
@@ -149,7 +160,7 @@ TEST(ResultCacheUnitTest, AbortWakesFollowersEmptyAndFreesTheKey) {
   follower.join();
 
   EXPECT_FALSE(followed.has_value());  // compute solo, not coalesced
-  EXPECT_EQ(cache.Snapshot().coalesced, 0u);
+  EXPECT_EQ(counted.handles.coalesced->Value(), 0u);
   EXPECT_EQ(cache.Size(), 0u);
 
   // The aborted flight is deregistered: the key is free to lead again.
@@ -159,7 +170,8 @@ TEST(ResultCacheUnitTest, AbortWakesFollowersEmptyAndFreesTheKey) {
 }
 
 TEST(ResultCacheUnitTest, FlightUnderDifferentContextYieldsSolo) {
-  RewriteResultCache cache({.capacity = 16, .shards = 1});
+  TestCounters counted;
+  RewriteResultCache cache({.capacity = 16, .shards = 1}, counted.handles);
   RewriteResultCache::Ticket leader = cache.Begin(42, /*epoch=*/1, 1);
   ASSERT_EQ(leader.role, RewriteResultCache::Role::kLeader);
 
@@ -177,9 +189,10 @@ TEST(ResultCacheUnitTest, FlightUnderDifferentContextYieldsSolo) {
 }
 
 TEST(ResultCacheUnitTest, ProbeNeverCountsMissesOrEnrollsFlights) {
-  RewriteResultCache cache({.capacity = 16, .shards = 1});
+  TestCounters counted;
+  RewriteResultCache cache({.capacity = 16, .shards = 1}, counted.handles);
   EXPECT_FALSE(cache.Probe(42, 1, 1).has_value());
-  EXPECT_EQ(cache.Snapshot().misses, 0u);
+  EXPECT_EQ(counted.handles.misses->Value(), 0u);
 
   // The probe did not become a leader: the next Begin leads.
   RewriteResultCache::Ticket t = cache.Begin(42, 1, 1);
@@ -190,9 +203,8 @@ TEST(ResultCacheUnitTest, ProbeNeverCountsMissesOrEnrollsFlights) {
   ASSERT_TRUE(probed.has_value());
   EXPECT_DOUBLE_EQ(probed->outcome.total_ms, 7.0);
   EXPECT_FALSE(cache.Probe(42, /*epoch=*/2, 1).has_value());  // context-exact
-  RewriteResultCache::Stats stats = cache.Snapshot();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(counted.handles.hits->Value(), 1u);
+  EXPECT_EQ(counted.handles.misses->Value(), 1u);
 }
 
 // --------------------------------------------------------- service tests ---

@@ -102,35 +102,45 @@ TEST(SelectivityTier, ServiceReportsPerRungHitsAndTelemetry) {
   sc.seed = 5;
   Scenario scenario = BuildScenario(sc);
 
-  ServiceConfig config;
-  config.default_strategy = "naive";  // sampling QTE, no training needed
-  config.WithHistogramSelectivity(true);
-  MalivaService service(&scenario, config);
+  // With the shared store on, the second pass over the same queries is
+  // seeded from the first: rung 0 fires and must stay out of the paid rungs.
+  for (bool shared_store : {false, true}) {
+    SCOPED_TRACE(shared_store ? "shared store on" : "shared store off");
+    ServiceConfig config;
+    config.default_strategy = "naive";  // sampling QTE, no training needed
+    config.WithHistogramSelectivity(true).WithCrossRequestCache(shared_store);
+    MalivaService service(&scenario, config);
 
-  std::vector<RewriteRequest> requests;
-  for (size_t i = 0; i < 10 && i < scenario.evaluation.size(); ++i) {
-    requests.push_back(RewriteRequest{scenario.evaluation[i]});
+    std::vector<RewriteRequest> requests;
+    for (size_t i = 0; i < 10 && i < scenario.evaluation.size(); ++i) {
+      requests.push_back(RewriteRequest{scenario.evaluation[i]});
+    }
+    size_t histogram_hits = 0;
+    size_t probes = 0;
+    size_t shared_hits = 0;
+    for (int pass = 0; pass < 2; ++pass) {
+      std::vector<Result<RewriteResponse>> responses = service.ServeBatch(requests);
+      for (const Result<RewriteResponse>& r : responses) {
+        ASSERT_TRUE(r.ok()) << r.status().message();
+        const RequestStats& stats = r.value().stats;
+        histogram_hits += stats.selectivity_tier_hits[1];
+        probes += stats.selectivity_tier_hits[2];
+        shared_hits += stats.shared_hits;
+        // The two paid rungs partition the request's collected slots;
+        // shared-store seeds are free and counted on rung 0 alone.
+        EXPECT_EQ(stats.selectivity_tier_hits[1] + stats.selectivity_tier_hits[2],
+                  stats.selectivities_collected);
+        EXPECT_EQ(stats.selectivity_tier_hits[0], stats.shared_hits);
+      }
+    }
+    // Range/spatial predicates dominate the workload, so rung 2 must fire.
+    EXPECT_GT(histogram_hits, 0u);
+    EXPECT_EQ(shared_hits > 0, shared_store);
+
+    ServiceStats stats = service.Stats();
+    EXPECT_EQ(stats.histogram_hits, histogram_hits);
+    EXPECT_EQ(stats.probe_collections, probes);
   }
-  std::vector<Result<RewriteResponse>> responses = service.ServeBatch(requests);
-
-  size_t histogram_hits = 0;
-  size_t probes = 0;
-  for (const Result<RewriteResponse>& r : responses) {
-    ASSERT_TRUE(r.ok()) << r.status().message();
-    const RequestStats& stats = r.value().stats;
-    histogram_hits += stats.selectivity_tier_hits[1];
-    probes += stats.selectivity_tier_hits[2];
-    // The two paid rungs partition the request's collected slots.
-    EXPECT_EQ(stats.selectivity_tier_hits[1] + stats.selectivity_tier_hits[2],
-              stats.selectivities_collected + stats.shared_hits);
-    EXPECT_EQ(stats.selectivity_tier_hits[0], stats.shared_hits);
-  }
-  // Range/spatial predicates dominate the workload, so rung 2 must fire.
-  EXPECT_GT(histogram_hits, 0u);
-
-  ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.histogram_hits, histogram_hits);
-  EXPECT_EQ(stats.probe_collections, probes);
 }
 
 TEST(SelectivityTier, OffByDefaultKeepsServeBatchByteIdentical) {

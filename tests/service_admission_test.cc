@@ -101,21 +101,16 @@ TEST(AdmissionSchedulerTest, WeightedShareInterleavesProportionally) {
   EXPECT_LE(dispatches_until_cold_done, 15u);
 }
 
-TEST(AdmissionSchedulerTest, QueueDepthAndStatsTrackDispatch) {
+TEST(AdmissionSchedulerTest, QueueDepthTracksDispatch) {
   DeadlineScheduler scheduler(0);
   for (int i = 0; i < 3; ++i) scheduler.Submit({double(i), "lane", [] {}});
   EXPECT_EQ(scheduler.QueueDepth(), 3u);
   EXPECT_TRUE(scheduler.RunOne());
   EXPECT_EQ(scheduler.QueueDepth(), 2u);
-  SchedulerStats mid = scheduler.GetStats();
-  EXPECT_EQ(mid.submitted, 3u);
-  EXPECT_EQ(mid.dispatched, 1u);
   while (scheduler.RunOne()) {
   }
-  SchedulerStats done = scheduler.GetStats();
-  EXPECT_EQ(done.dispatched, 3u);
   EXPECT_EQ(scheduler.QueueDepth(), 0u);
-  EXPECT_GE(done.queue_wait_ms_total, 0.0);
+  EXPECT_FALSE(scheduler.RunOne());
 }
 
 TEST(AdmissionSchedulerTest, WorkersDrainEverythingOnWait) {
@@ -184,24 +179,6 @@ TEST(AdmissionControllerTest, ServeEwmaTracksObservations) {
   EXPECT_DOUBLE_EQ(gate.EstimatedServeMs(), 15.0);
   gate.RecordServeMs(-3.0);  // garbage observations are ignored
   EXPECT_DOUBLE_EQ(gate.EstimatedServeMs(), 15.0);
-}
-
-TEST(AdmissionControllerTest, CountersRollUpPerScenarioAndTotal) {
-  AdmissionController gate(AdmissionConfig().WithEnabled(true));
-  gate.RecordDecision("a", AdmissionDecision::kAdmit);
-  gate.RecordDecision("a", AdmissionDecision::kDegrade);
-  gate.RecordDecision("b", AdmissionDecision::kShedDeadline);
-  gate.RecordDecision("b", AdmissionDecision::kShedOverload);
-  gate.RecordQueueWait("a", 2.5);
-  EXPECT_EQ(gate.CountersFor("a").admitted, 1u);
-  EXPECT_EQ(gate.CountersFor("a").degraded, 1u);
-  EXPECT_DOUBLE_EQ(gate.CountersFor("a").queue_wait_ms_total, 2.5);
-  EXPECT_EQ(gate.CountersFor("b").shed_deadline, 1u);
-  EXPECT_EQ(gate.CountersFor("b").shed_overload, 1u);
-  AdmissionCounters totals = gate.TotalCounters();
-  EXPECT_EQ(totals.admitted + totals.degraded + totals.shed_deadline +
-                totals.shed_overload,
-            4u);
 }
 
 TEST(AdmissionControllerTest, SharesResolveWithDefaults) {
@@ -467,6 +444,51 @@ TEST_F(AdmissionFleetTest, StatsRollUpPerShardAndFleetWide) {
   EXPECT_EQ(stats.totals.admission_admitted + stats.totals.admission_degraded,
             12u);
   EXPECT_EQ(stats.admission.queue_depth, 0u);
+}
+
+// A shard re-registered under an evicted shard's id is a new stack: its
+// gate rows start at zero like its serve counters, and the fleet rollup
+// stays the sum of the registered rows (the evicted shard's verdicts leave
+// with it).
+TEST_F(AdmissionFleetTest, ReRegisteredScenarioStartsWithCleanGateRows) {
+  MalivaFleet fleet(SmallFleetConfig().WithAdmission(
+      AdmissionConfig().WithEnabled(true)));
+  ASSERT_TRUE(fleet.RegisterScenario("twitter", twitter_).ok());
+  ASSERT_TRUE(fleet.RegisterScenario("taxi", taxi_).ok());
+  fleet.WaitWarmups();
+  for (size_t i = 0; i < 4; ++i) {
+    ASSERT_TRUE(fleet.Serve(TwitterRequest(i, "baseline")).ok());
+  }
+  RewriteRequest taxi_request = TwitterRequest(0, "baseline");
+  taxi_request.scenario = "taxi";
+  taxi_request.query = taxi_->evaluation[0];
+  ASSERT_TRUE(fleet.Serve(taxi_request).ok());
+
+  ASSERT_TRUE(fleet.DrainScenario("twitter").ok());
+  ASSERT_TRUE(fleet.EvictScenario("twitter").ok());
+  ASSERT_TRUE(fleet.RegisterScenario("twitter", twitter_).ok());
+  fleet.WaitWarmups();
+
+  FleetStats stats = fleet.Stats();
+  ASSERT_EQ(stats.shards.size(), 2u);
+  uint64_t admitted = 0;
+  uint64_t degraded = 0;
+  for (const auto& [id, row] : stats.shards) {
+    if (id == "twitter") {
+      EXPECT_EQ(row.requests, 0u);
+      EXPECT_EQ(row.admission_admitted, 0u);
+      EXPECT_EQ(row.admission_degraded, 0u);
+      EXPECT_EQ(row.admission_shed_deadline, 0u);
+      EXPECT_EQ(row.admission_shed_overload, 0u);
+      EXPECT_EQ(row.admission_queue_wait_ms_total, 0.0);
+    }
+    admitted += row.admission_admitted;
+    degraded += row.admission_degraded;
+  }
+  EXPECT_EQ(admitted + degraded, 1u) << "only the taxi verdict is still registered";
+  EXPECT_EQ(stats.admission.admitted, admitted);
+  EXPECT_EQ(stats.admission.degraded, degraded);
+  EXPECT_EQ(stats.admission.shed_deadline + stats.admission.shed_overload, 0u);
 }
 
 // The plane's "default is inert" regression: with admission off the fleet's

@@ -35,8 +35,8 @@ namespace maliva {
 namespace {
 
 /// Per-sample rounding the stats side may apply to a recorded wall time:
-/// samples are summed as whole nanoseconds.
-constexpr double kWallToleranceMsPerSample = 1e-6;
+/// samples are summed as whole microseconds (the latency histograms' tick).
+constexpr double kWallToleranceMsPerSample = 0.0005;
 
 /// What the callers observed for one shard.
 struct Tally {

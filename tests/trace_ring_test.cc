@@ -218,8 +218,7 @@ TEST(TraceRingFleetTest, FleetRecordsTracesAndUnbreachedSlo) {
           .WithDefaults(ServiceConfig()
                             .WithTrainerIterations(3)
                             .WithAgentSeeds(1)
-                            .WithDefaultStrategy("baseline")
-                            .WithMetrics(true))
+                            .WithDefaultStrategy("baseline"))
           .WithWarmupStrategies({"baseline"})
           .WithAdmission(AdmissionConfig().WithEnabled(true).WithSlackFactor(50.0))
           .WithMetricsFlushMs(600000)  // manual FlushNow only in the test
