@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <optional>
@@ -440,6 +441,136 @@ TEST_F(ResultCacheServiceTest, TryServeCachedIsProbeOnly) {
   EXPECT_TRUE(cached->stats.result_cache_hit);
   EXPECT_EQ(service.Stats().result_cache_hits, 1u);
   EXPECT_EQ(service.Stats().result_cache_misses, 1u);  // the Serve's only
+}
+
+TEST_F(ResultCacheServiceTest, OneDecisionContextAcrossEntryPoints) {
+  // Every entry point that keys on a request's decision context — the
+  // fingerprint accessor, the admission probe, the in-batch dedup, the trace
+  // ring and the serve path's own cache — must agree on the key. Shared
+  // store and result cache both on, so the serve path canonicalizes once
+  // for both planes.
+  const ServiceConfig config = SmallConfig()
+                                   .WithCrossRequestCache(true)
+                                   .WithResultCache(true)
+                                   .WithNumThreads(1);
+  MalivaService service(scenario_, config);
+
+  // Strategy-default tau resolves identically cold and built.
+  const uint64_t cold = service.FingerprintRequest(Request(0));
+  ASSERT_NE(cold, 0u);
+  ASSERT_TRUE(service.Warmup({"mdp/accurate", "baseline"}).ok());
+  EXPECT_EQ(service.FingerprintRequest(Request(0)), cold);
+
+  // Bins: 300/310 share the 25 ms tau bin, 330 does not; floors 0.901/0.909
+  // share a 1/100 bin, an absent floor is its own key.
+  auto with = [](RewriteRequest req, std::optional<double> tau,
+                 std::optional<double> floor) {
+    req.tau_ms = tau;
+    req.quality_floor = floor;
+    return req;
+  };
+  const RewriteRequest tau300 = with(Request(1), 300.0, std::nullopt);
+  const RewriteRequest tau310 = with(Request(1), 310.0, std::nullopt);
+  const RewriteRequest tau330 = with(Request(1), 330.0, std::nullopt);
+  const RewriteRequest floor901 = with(Request(2), std::nullopt, 0.901);
+  const RewriteRequest floor909 = with(Request(2), std::nullopt, 0.909);
+  const RewriteRequest no_floor = with(Request(2), std::nullopt, std::nullopt);
+  EXPECT_EQ(service.FingerprintRequest(tau300), service.FingerprintRequest(tau310));
+  EXPECT_NE(service.FingerprintRequest(tau300), service.FingerprintRequest(tau330));
+  EXPECT_EQ(service.FingerprintRequest(floor901),
+            service.FingerprintRequest(floor909));
+  EXPECT_NE(service.FingerprintRequest(floor901),
+            service.FingerprintRequest(no_floor));
+
+  // TryServeCached hits exactly the contexts an earlier Serve made
+  // resident, and counts nothing for the rest.
+  std::vector<RewriteRequest> served = {Request(0), tau300, floor901,
+                                        Request(3, "baseline")};
+  std::vector<uint64_t> resident;
+  for (const RewriteRequest& req : served) {
+    ASSERT_TRUE(service.Serve(req).ok());
+    resident.push_back(service.FingerprintRequest(req));
+  }
+  std::vector<RewriteRequest> probes = {
+      Request(0),  tau300,   tau310,   tau330,   floor901, floor909,
+      no_floor,    Request(3, "baseline"), Request(3), Request(4)};
+  for (size_t i = 0; i < probes.size(); ++i) {
+    SCOPED_TRACE(i);
+    const uint64_t fp = service.FingerprintRequest(probes[i]);
+    const bool expect_hit =
+        std::find(resident.begin(), resident.end(), fp) != resident.end();
+    const ServiceStats before = service.Stats();
+    std::optional<RewriteResponse> cached = service.TryServeCached(probes[i]);
+    const ServiceStats after = service.Stats();
+    ASSERT_EQ(cached.has_value(), expect_hit);
+    EXPECT_EQ(after.result_cache_misses, before.result_cache_misses);
+    EXPECT_EQ(after.result_cache_hits, before.result_cache_hits + (expect_hit ? 1 : 0));
+    EXPECT_EQ(after.requests, before.requests + (expect_hit ? 1 : 0));
+    if (expect_hit) EXPECT_TRUE(cached->stats.result_cache_hit);
+  }
+
+  // ServeBatch (fresh cache) coalesces exactly the members repeating an
+  // earlier member's fingerprint.
+  MalivaService batch_service(scenario_, config);
+  ASSERT_TRUE(batch_service.Warmup({"mdp/accurate", "baseline"}).ok());
+  std::vector<RewriteRequest> batch = {Request(5), tau300,   tau310,
+                                       tau330,     Request(5), floor901,
+                                       floor909,   no_floor, Request(5, "baseline")};
+  std::vector<Result<RewriteResponse>> responses = batch_service.ServeBatch(batch);
+  ASSERT_EQ(responses.size(), batch.size());
+  std::vector<uint64_t> seen;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    SCOPED_TRACE(i);
+    const uint64_t fp = batch_service.FingerprintRequest(batch[i]);
+    const bool repeat = std::find(seen.begin(), seen.end(), fp) != seen.end();
+    seen.push_back(fp);
+    ASSERT_TRUE(responses[i].ok()) << responses[i].status().ToString();
+    EXPECT_EQ(responses[i].value().stats.result_cache_coalesced, repeat);
+  }
+
+  // A fleet's trace events carry the same fingerprint the shard reports.
+  MalivaFleet fleet(FleetConfig()
+                        .WithDefaults(config)
+                        .WithWarmupThreads(0)
+                        .WithTraceRingCapacity(64));
+  ASSERT_TRUE(fleet.RegisterScenario("tweets", scenario_).ok());
+  Result<std::shared_ptr<const MalivaService>> shard = fleet.ServiceFor("tweets");
+  ASSERT_TRUE(shard.ok());
+  std::vector<uint64_t> expected;
+  for (RewriteRequest req : batch) {
+    req.scenario = "tweets";
+    ASSERT_TRUE(fleet.Serve(req).ok());
+    expected.push_back(shard.value()->FingerprintRequest(req));
+  }
+  std::vector<uint64_t> traced;
+  for (const TraceEvent& event : fleet.trace_ring()->SnapshotEvents()) {
+    traced.push_back(event.fingerprint);
+  }
+  std::sort(expected.begin(), expected.end());
+  std::sort(traced.begin(), traced.end());
+  EXPECT_EQ(traced, expected);
+
+  // The agent snapshot version keys the context: after RetrainNow publishes
+  // v2, the probe declines a context resident under v1.
+  MalivaService online(scenario_, SmallConfig()
+                                      .WithCrossRequestCache(true)
+                                      .WithResultCache(true)
+                                      .WithOnlineLearning(true)
+                                      .WithOnlineTrainerThreads(0)
+                                      .WithOnlineGradientSteps(4)
+                                      .WithOnlineGateTolerance(10.0));
+  ASSERT_TRUE(online.Warmup({"mdp/accurate"}).ok());
+  std::vector<RewriteRequest> feedback;
+  for (size_t i = 0; i < 32; ++i) feedback.push_back(Request(i));
+  for (const Result<RewriteResponse>& resp : online.ServeBatch(feedback)) {
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  }
+  ASSERT_TRUE(online.TryServeCached(Request(0)).has_value());
+  ASSERT_TRUE(online.online_trainer()->RetrainNow("agent/exact-accurate"));
+  ASSERT_EQ(online.model_registry()->CurrentVersion("agent/exact-accurate"), 2u);
+  const uint64_t misses = online.Stats().result_cache_misses;
+  EXPECT_FALSE(online.TryServeCached(Request(0)).has_value());
+  EXPECT_EQ(online.Stats().result_cache_misses, misses);
 }
 
 TEST_F(ResultCacheServiceTest, ValidateRejectsBadKnobs) {
