@@ -13,7 +13,6 @@
 #include <string>
 
 #include "harness/experiment.h"
-#include "harness/setup.h"
 #include "service/service.h"
 #include "util/rng.h"
 #include "workload/arrival.h"

@@ -194,15 +194,25 @@ int Run(const ReplayBenchOptions& opts) {
     ReplayOptions closed;
     closed.collect_digests = false;
     (void)driver.Replay(probe, closed);  // untimed warm pass (oracle memos)
-    Result<ReplayReport> probe_report = driver.Replay(probe, closed);
-    if (!probe_report.ok() || probe_report.value().errors != 0) {
-      std::printf("capacity probe failed\n");
-      return 1;
+    // Median of kProbePasses timed passes: one smoke-size pass lasts about a
+    // millisecond, so a single scheduler hiccup in it would skew every rate
+    // and budget calibrated from it.
+    constexpr size_t kProbePasses = 5;
+    std::vector<double> pass_qps;
+    for (size_t pass = 0; pass < kProbePasses; ++pass) {
+      Result<ReplayReport> probe_report = driver.Replay(probe, closed);
+      if (!probe_report.ok() || probe_report.value().errors != 0) {
+        std::printf("capacity probe failed\n");
+        return 1;
+      }
+      pass_qps.push_back(probe_report.value().achieved_qps);
     }
-    capacity_qps = probe_report.value().achieved_qps;
-    std::printf("capacity: %zu records in %.3fs = %.0f QPS at %zu threads\n",
-                kOverload, probe_report.value().wall_seconds, capacity_qps,
-                kThreads);
+    std::nth_element(pass_qps.begin(), pass_qps.begin() + kProbePasses / 2,
+                     pass_qps.end());
+    capacity_qps = pass_qps[kProbePasses / 2];
+    std::printf("capacity: median of %zu passes of %zu records = %.0f QPS at "
+                "%zu threads\n",
+                kProbePasses, kOverload, capacity_qps, kThreads);
   }
 
   // bench_overload's calibration: wall budget of ~8 serve slots per request,

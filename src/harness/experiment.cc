@@ -1,10 +1,34 @@
 #include "harness/experiment.h"
 
+#include <cstdio>
+#include <cstdlib>
 #include <iomanip>
 
+#include "service/service.h"
 #include "util/string_util.h"
 
 namespace maliva {
+
+Approach ApproachFor(MalivaService& service, const std::string& strategy) {
+  Result<const Rewriter*> built = service.GetRewriter(strategy);
+  if (!built.ok()) {
+    std::fprintf(stderr, "failed to build strategy \"%s\": %s\n", strategy.c_str(),
+                 built.status().ToString().c_str());
+    std::abort();
+  }
+  const Rewriter* rewriter = built.value();
+  return {rewriter->name(), [rewriter](const Query& q) { return rewriter->Rewrite(q); }};
+}
+
+std::vector<Approach> ApproachesFor(MalivaService& service,
+                                    std::initializer_list<const char*> strategies) {
+  std::vector<Approach> approaches;
+  approaches.reserve(strategies.size());
+  for (const char* strategy : strategies) {
+    approaches.push_back(ApproachFor(service, strategy));
+  }
+  return approaches;
+}
 
 ExperimentResult RunExperiment(const std::vector<Approach>& approaches,
                                const BucketedWorkload& workload) {

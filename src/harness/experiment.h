@@ -5,6 +5,7 @@
 #define MALIVA_HARNESS_EXPERIMENT_H_
 
 #include <functional>
+#include <initializer_list>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -14,11 +15,22 @@
 
 namespace maliva {
 
+class MalivaService;  // service/service.h
+
 /// One query-rewriting approach under evaluation.
 struct Approach {
   std::string name;
   std::function<RewriteOutcome(const Query&)> rewrite;
 };
+
+/// Wraps a service strategy into an Approach (display name + closure). The
+/// service must outlive the returned closure. Aborts with a readable message
+/// when the strategy cannot be built — experiments want loud failures.
+Approach ApproachFor(MalivaService& service, const std::string& strategy);
+
+/// Builds several strategies at once, in order.
+std::vector<Approach> ApproachesFor(MalivaService& service,
+                                    std::initializer_list<const char*> strategies);
 
 /// Aggregated metrics of one approach over one difficulty bucket.
 struct ApproachMetrics {

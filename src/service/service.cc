@@ -426,12 +426,6 @@ const RewriteOptionSet* MalivaService::InternOptionSet(RewriteOptionSet options)
   return state_.interned_options.back().get();
 }
 
-void MalivaService::SetApproxRules(std::vector<ApproxRule> rules) {
-  // Exclusive with strategy builds, which read the rules mid-build.
-  std::unique_lock<std::shared_mutex> lock(state_mutex_);
-  config_.approx_rules = std::move(rules);
-}
-
 Result<const Rewriter*> MalivaService::GetRewriter(const std::string& name) const {
   MALIVA_RETURN_NOT_OK(config_status_);
   {
@@ -495,11 +489,24 @@ std::vector<std::string> MalivaService::RegisteredStrategies() const {
 
 namespace {
 
+/// The strategy serving `request`: its own, else the configured default.
+const std::string& StrategyNameFor(const RewriteRequest& request,
+                                   const ServiceConfig& config) {
+  return request.strategy.empty() ? config.default_strategy : request.strategy;
+}
+
+/// The decision bytes of a served response — what a result-cache entry
+/// holds and what a batch duplicate replays.
+CachedRewrite DecisionOf(const RewriteResponse& resp) {
+  return CachedRewrite{resp.strategy, resp.outcome, resp.option,
+                       resp.exact_fallback, resp.stats};
+}
+
 /// Builds the response a cached decision replays: the entry's bytes —
 /// strategy, outcome, option, fallback flag, stats template — plus a fresh
 /// SQL rendering against the hitting request's own query (requests within
 /// one fingerprint bin keep their own literals) and the hit/coalesced
-/// stamps. serve_wall_ms is stamped by ServeIndexed like any response.
+/// stamps. serve_wall_ms is stamped by the record stage like any response.
 RewriteResponse ReplayCached(const CachedRewrite& cached, const Query& query,
                              bool coalesced) {
   RewriteResponse resp;
@@ -562,8 +569,90 @@ Status ValidateRequest(const RewriteRequest& request) {
 
 }  // namespace
 
+void AppendNeededStrategies(const RewriteRequest& request,
+                            const ServiceConfig& config,
+                            std::vector<std::string>* needed) {
+  auto want = [needed](const std::string& name) {
+    if (std::find(needed->begin(), needed->end(), name) == needed->end()) {
+      needed->push_back(name);
+    }
+  };
+  want(StrategyNameFor(request, config));
+  if (request.quality_floor.has_value()) want("baseline");
+}
+
+MalivaService::DecisionContext MalivaService::ResolveContext(
+    const RewriteRequest& request, const std::string& name,
+    const Rewriter* strategy, bool keyed, QueryProfiler* prof) const {
+  DecisionContext ctx;
+  ctx.tau_ms = request.tau_ms.value_or(
+      strategy != nullptr ? strategy->default_tau_ms() : scenario_->config.tau_ms);
+  if (keyed) {
+    // The canonical form serves both planes: the shared store's slot keys
+    // and the result cache's signature. The epoch pins both to the current
+    // statistics ground truth.
+    ProfilerSimpleGuard span(prof, QueryProfiler::kSignature);
+    ctx.canonical = Canonicalize(*request.query, signature_options_);
+    ctx.epoch = scenario_->engine->catalog_version();
+    ctx.fingerprint = MakeRequestFingerprint(ctx.canonical.signature, name,
+                                             ctx.tau_ms, request.quality_floor,
+                                             fingerprint_options_)
+                          .value;
+  }
+  // Online learning plane: the newest published snapshot of the strategy's
+  // agent key. Its version is a key-context component, so a hit is only
+  // ever served against the exact weights that would serve the miss; the
+  // shared_ptr keeps the snapshot alive for the whole request even if a
+  // retrain publishes (or an operator rolls back) mid-request.
+  if (ContinualTrainer* online = state_.continual_trainer.get()) {
+    ctx.agent_key = OnlineAgentKeyFor(name);
+    if (ctx.agent_key != nullptr) ctx.model = online->Current(ctx.agent_key);
+    if (ctx.model) ctx.snapshot_version = ctx.model.snapshot->meta().version;
+  }
+  return ctx;
+}
+
+void MalivaService::Record(std::chrono::steady_clock::time_point start,
+                           RewriteResponse* response) const {
+  // Host wall time is the one quantity virtual time cannot provide.
+  const double wall_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  const ServeMetrics& m = serve_metrics_;
+  m.serve_latency->Record(wall_ms);
+  if (response == nullptr) {
+    m.requests_error->Increment();
+    return;
+  }
+  response->stats.serve_wall_ms = wall_ms;
+  m.requests_ok->Increment();
+  if (response->exact_fallback) m.exact_fallbacks->Increment();
+  // A replayed decision: its selectivity counters are the template of the
+  // miss that computed it, already billed when that miss served. Count the
+  // request without re-billing work nobody did.
+  if (response->stats.result_cache_hit) return;
+  // Zero counts are skipped: adding 0 still writes the counter's cache line,
+  // which every serving thread shares.
+  auto add = [](Counter* counter, size_t n) {
+    if (n > 0) counter->Increment(n);
+  };
+  const RequestStats& stats = response->stats;
+  add(m.tier_shared, stats.selectivity_tier_hits[0]);
+  add(m.tier_histogram, stats.selectivity_tier_hits[1]);
+  add(m.tier_probe, stats.selectivity_tier_hits[2]);
+  add(m.shared_published, stats.shared_published);
+}
+
 Result<RewriteResponse> MalivaService::Serve(const RewriteRequest& request) const {
-  return ServeIndexed(request, 0);
+  return ServeAt(request, 0);
+}
+
+Result<RewriteResponse> MalivaService::ServeAt(const RewriteRequest& request,
+                                               uint64_t request_index) const {
+  const auto start = std::chrono::steady_clock::now();
+  Result<RewriteResponse> result = ServeImpl(request, request_index);
+  Record(start, result.ok() ? &result.value() : nullptr);
+  return result;
 }
 
 std::optional<RewriteResponse> MalivaService::TryServeCached(
@@ -572,107 +661,30 @@ std::optional<RewriteResponse> MalivaService::TryServeCached(
   if (rcache == nullptr || !config_status_.ok()) return std::nullopt;
   if (!ValidateRequest(request).ok()) return std::nullopt;
 
-  auto wall_start = std::chrono::steady_clock::now();
-  const std::string& name =
-      request.strategy.empty() ? config_.default_strategy : request.strategy;
+  const auto start = std::chrono::steady_clock::now();
   // Probe-only discipline: resolving the default tau needs the strategy, but
   // building one here would drag the admission plane through training. A
   // cold strategy is simply a miss — the serve path builds it as usual.
+  const std::string& name = StrategyNameFor(request, config_);
   const Rewriter* strategy = FindBuiltRewriter(name);
   if (strategy == nullptr) return std::nullopt;
-  double tau = request.tau_ms.value_or(strategy->default_tau_ms());
-
-  CanonicalQuery canonical = Canonicalize(*request.query, signature_options_);
-  uint64_t epoch = scenario_->engine->catalog_version();
-  ContinualTrainer* online = state_.continual_trainer.get();
-  const char* agent_key = online != nullptr ? OnlineAgentKeyFor(name) : nullptr;
-  uint64_t snapshot_version = 0;
-  if (agent_key != nullptr) {
-    PublishedModel model = online->Current(agent_key);
-    if (model) snapshot_version = model.snapshot->meta().version;
-  }
-  uint64_t fingerprint = MakeRequestFingerprint(canonical.signature, name, tau,
-                                                request.quality_floor,
-                                                fingerprint_options_)
-                             .value;
+  const DecisionContext ctx =
+      ResolveContext(request, name, strategy, /*keyed=*/true, nullptr);
   std::optional<CachedRewrite> cached =
-      rcache->Probe(fingerprint, epoch, snapshot_version);
+      rcache->Probe(ctx.fingerprint, ctx.epoch, ctx.snapshot_version);
   if (!cached.has_value()) return std::nullopt;
 
-  RewriteResponse resp =
-      ReplayCached(*cached, *request.query, /*coalesced=*/false);
-  double wall_ms = std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - wall_start)
-                       .count();
-  resp.stats.serve_wall_ms = wall_ms;
-  RecordServed(resp, wall_ms);
+  RewriteResponse resp = ReplayCached(*cached, *request.query, /*coalesced=*/false);
+  Record(start, &resp);
   return resp;
 }
 
 uint64_t MalivaService::FingerprintRequest(const RewriteRequest& request) const {
-  // Cold-path mirror of TryServeCached's key derivation, minus the probe:
-  // the trace ring stamps this onto events so offline analysis can join a
-  // request's trace line against the result-cache decision context. 0 when
-  // the context is unresolvable (invalid request, misconfiguration, or a
-  // strategy not yet built — fingerprinting must never train one).
   if (!config_status_.ok() || !ValidateRequest(request).ok()) return 0;
-  const std::string& name =
-      request.strategy.empty() ? config_.default_strategy : request.strategy;
-  const Rewriter* strategy = FindBuiltRewriter(name);
-  double tau = request.tau_ms.has_value() ? *request.tau_ms
-               : strategy != nullptr      ? strategy->default_tau_ms()
-                                          : scenario_->config.tau_ms;
-  CanonicalQuery canonical = Canonicalize(*request.query, signature_options_);
-  return MakeRequestFingerprint(canonical.signature, name, tau,
-                                request.quality_floor, fingerprint_options_)
-      .value;
-}
-
-void MalivaService::RecordServed(const RewriteResponse& response,
-                                 double wall_ms) const {
-  const ServeMetrics& m = serve_metrics_;
-  m.requests_ok->Increment();
-  m.serve_latency->Record(wall_ms);
-  if (response.exact_fallback) m.exact_fallbacks->Increment();
-  // A replayed decision: its selectivity counters are the template of the
-  // miss that computed it, already billed when that miss served. Count the
-  // request without re-billing work nobody did.
-  if (response.stats.result_cache_hit) return;
-  // Zero counts are skipped: adding 0 still writes the counter's cache line,
-  // which every serving thread shares.
-  auto add = [](Counter* counter, size_t n) {
-    if (n > 0) counter->Increment(n);
-  };
-  const RequestStats& stats = response.stats;
-  add(m.tier_shared, stats.selectivity_tier_hits[0]);
-  add(m.tier_histogram, stats.selectivity_tier_hits[1]);
-  add(m.tier_probe, stats.selectivity_tier_hits[2]);
-  add(m.shared_published, stats.shared_published);
-}
-
-void MalivaService::RecordError(double wall_ms) const {
-  serve_metrics_.requests_error->Increment();
-  serve_metrics_.serve_latency->Record(wall_ms);
-}
-
-Result<RewriteResponse> MalivaService::ServeIndexed(const RewriteRequest& request,
-                                                    uint64_t request_index) const {
-  // Accounting wrapper: time the request on the host wall clock (the one
-  // quantity virtual time cannot provide) and fold its accounting into the
-  // service counters, errors included.
-  auto wall_start = std::chrono::steady_clock::now();
-  Result<RewriteResponse> result = ServeImpl(request, request_index);
-  double wall_ms = std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - wall_start)
-                       .count();
-  if (result.ok()) {
-    RewriteResponse& resp = result.value();
-    resp.stats.serve_wall_ms = wall_ms;
-    RecordServed(resp, wall_ms);
-  } else {
-    RecordError(wall_ms);
-  }
-  return result;
+  const std::string& name = StrategyNameFor(request, config_);
+  return ResolveContext(request, name, FindBuiltRewriter(name), /*keyed=*/true,
+                        nullptr)
+      .fingerprint;
 }
 
 Result<RewriteResponse> MalivaService::ServeImpl(const RewriteRequest& request,
@@ -680,8 +692,7 @@ Result<RewriteResponse> MalivaService::ServeImpl(const RewriteRequest& request,
   MALIVA_RETURN_NOT_OK(config_status_);
   MALIVA_RETURN_NOT_OK(ValidateRequest(request));
 
-  const std::string& name =
-      request.strategy.empty() ? config_.default_strategy : request.strategy;
+  const std::string& name = StrategyNameFor(request, config_);
   Result<const Rewriter*> rewriter = GetRewriter(name);
   if (!rewriter.ok()) return rewriter.status();
   const Rewriter& strategy = *rewriter.value();
@@ -689,12 +700,11 @@ Result<RewriteResponse> MalivaService::ServeImpl(const RewriteRequest& request,
   // All mutable per-request state lives here; the strategy objects stay
   // shared-immutable across threads.
   RewriteSession session(RewriteSession::SeedFor(session_seed_base_, request_index));
-  double tau = request.tau_ms.value_or(strategy.default_tau_ms());
 
-  // Measurement plane (ISSUE 9): a sampled request gets a stack-owned
-  // profiler bound to its session. `prof == nullptr` is the off path — no
-  // clock is ever read there, and the breakdown never feeds back into any
-  // decision, so responses stay byte-identical either way.
+  // Measurement plane: a sampled request gets a stack-owned profiler bound
+  // to its session. `prof == nullptr` is the off path — no clock is ever
+  // read there, and the breakdown never feeds back into any decision, so
+  // responses stay byte-identical either way.
   std::optional<QueryProfiler> profiler_storage;
   QueryProfiler* prof = nullptr;
   if (config_.profile_requests &&
@@ -704,96 +714,65 @@ Result<RewriteResponse> MalivaService::ServeImpl(const RewriteRequest& request,
     session.BindProfiler(prof);
   }
 
-  // Knowledge plane: canonicalize the query and bind the shared store so the
-  // session's episode caches start pre-seeded with the selectivities earlier
-  // requests collected. The epoch pins the store's entries to the current
-  // statistics ground truth (catalog changes read as a cold store). The
-  // canonical form is computed once and shared with the result cache below.
+  // Resolve. Knowledge plane: the session's episode caches start pre-seeded
+  // with the selectivities earlier requests collected.
   SharedSelectivityStore* store = state_.shared_store.get();
   RewriteResultCache* rcache = state_.result_cache.get();
-  CanonicalQuery canonical;
-  uint64_t epoch = 0;
-  if (store != nullptr || rcache != nullptr) {
-    ProfilerSimpleGuard span(prof, QueryProfiler::kSignature);
-    canonical = Canonicalize(*request.query, signature_options_);
-    epoch = scenario_->engine->catalog_version();
-  }
+  const DecisionContext ctx = ResolveContext(
+      request, name, &strategy, store != nullptr || rcache != nullptr, prof);
   if (store != nullptr) {
-    session.BindSharedStore(store, &canonical.slot_keys, epoch);
+    session.BindSharedStore(store, &ctx.canonical.slot_keys, ctx.epoch);
   }
 
-  // Online learning plane: serve the strategy's newest published snapshot
-  // instead of its frozen construction-time weights, and capture the
-  // episode's transitions for the feedback path. The shared_ptr keeps the
-  // snapshot alive for the whole call even if a retrain publishes (or an
-  // operator rolls back) mid-request. The snapshot is fetched *before* the
-  // cache probe: its version is a key-context component, so a hit is only
-  // ever served against the exact weights that would serve the miss.
-  ContinualTrainer* online = state_.continual_trainer.get();
-  const char* agent_key = online != nullptr ? OnlineAgentKeyFor(name) : nullptr;
-  PublishedModel model;
-  if (agent_key != nullptr) model = online->Current(agent_key);
-  const uint64_t snapshot_version = model ? model.snapshot->meta().version : 0;
-
-  // Decision tier: replay a resident decision, follow an in-flight leader's
-  // search, or lead (publish on the way out). Hits skip QTE, agent, and the
+  // Probe: replay a resident decision, follow an in-flight leader's search,
+  // or lead (publish on the way out). Replays skip QTE, agent, and the
   // whole episode; they also record no online feedback — the decision's
   // transitions were observed once, when the miss computed them.
-  uint64_t fingerprint = 0;
   RewriteResultCache::Ticket ticket;
   FlightAbortGuard abort_guard;
   if (rcache != nullptr) {
-    // The probe span covers fingerprinting, Begin, and a follower's wait on
-    // its leader; on a replayed decision the whole span is inherited work
-    // (AddCachedMs) and the response carries the partial breakdown measured
-    // so far — the replay itself does no search to bill.
+    // The probe span covers Begin and a follower's wait on its leader; on a
+    // replayed decision the whole span is inherited work (AddCachedMs) and
+    // the response carries the partial breakdown measured so far — the
+    // replay itself does no search to bill.
     if (prof != nullptr) prof->StartTimer(QueryProfiler::kCacheProbe);
-    fingerprint = MakeRequestFingerprint(canonical.signature, name, tau,
-                                         request.quality_floor,
-                                         fingerprint_options_)
-                      .value;
-    ticket = rcache->Begin(fingerprint, epoch, snapshot_version);
-    if (ticket.role == RewriteResultCache::Role::kHit) {
+    ticket = rcache->Begin(ctx.fingerprint, ctx.epoch, ctx.snapshot_version);
+    std::optional<CachedRewrite> led;
+    if (ticket.role == RewriteResultCache::Role::kFollower) {
+      led = rcache->WaitForLeader(ticket);
+      if (!led.has_value()) ticket = RewriteResultCache::Ticket{};  // solo
+    }
+    const std::optional<CachedRewrite>& replay =
+        ticket.role == RewriteResultCache::Role::kHit ? ticket.value : led;
+    if (replay.has_value()) {
       if (prof != nullptr) {
         prof->AddCachedMs(QueryProfiler::kCacheProbe,
                           prof->StopTimer(QueryProfiler::kCacheProbe));
       }
-      RewriteResponse hit =
-          ReplayCached(*ticket.value, *request.query, /*coalesced=*/false);
-      if (prof != nullptr) hit.stats.profile = prof->Snapshot();
-      return hit;
-    }
-    if (ticket.role == RewriteResultCache::Role::kFollower) {
-      std::optional<CachedRewrite> led = rcache->WaitForLeader(ticket);
-      if (led.has_value()) {
-        if (prof != nullptr) {
-          prof->AddCachedMs(QueryProfiler::kCacheProbe,
-                            prof->StopTimer(QueryProfiler::kCacheProbe));
-        }
-        RewriteResponse coalesced =
-            ReplayCached(*led, *request.query, /*coalesced=*/true);
-        if (prof != nullptr) coalesced.stats.profile = prof->Snapshot();
-        return coalesced;
-      }
-      ticket = RewriteResultCache::Ticket{};  // leader aborted: compute solo
+      RewriteResponse resp = ReplayCached(
+          *replay, *request.query,
+          /*coalesced=*/ticket.role == RewriteResultCache::Role::kFollower);
+      if (prof != nullptr) resp.stats.profile = prof->Snapshot();
+      return resp;
     }
     if (prof != nullptr) prof->StopTimer(QueryProfiler::kCacheProbe);
-    abort_guard = FlightAbortGuard{rcache, &ticket, fingerprint,
+    abort_guard = FlightAbortGuard{rcache, &ticket, ctx.fingerprint,
                                    ticket.role == RewriteResultCache::Role::kLeader};
   }
 
-  // Miss path only: the search, the QTEs and the engine assume the query
-  // names real tables and columns of the right types. Hits skip the check
-  // for free — the signature keys on the table, predicate columns and
-  // types, and join keys, so a resident decision was computed for a query
-  // that passed it; the output fields it leaves out are only rendered.
+  // Search, miss path only: the search, the QTEs and the engine assume the
+  // query names real tables and columns of the right types. Replays skip
+  // the check for free — the signature keys on the table, predicate columns
+  // and types, and join keys, so a resident decision was computed for a
+  // query that passed it; the output fields it leaves out are only rendered.
   MALIVA_RETURN_NOT_OK(scenario_->engine->ValidateQuery(*request.query));
 
-  if (model) {
-    session.BindAgentOverride(model.agent.get());
+  if (ctx.model) {
+    session.BindAgentOverride(ctx.model.agent.get());
     session.set_capture_transitions(true);
   }
 
+  const double tau = ctx.tau_ms;
   RewriteResponse resp;
   resp.strategy = name;
   if (prof != nullptr) prof->StartTimer(QueryProfiler::kSearch);
@@ -846,11 +825,12 @@ Result<RewriteResponse> MalivaService::ServeImpl(const RewriteRequest& request,
   resp.stats.selectivity_tier_hits[2] = probes;
   if (store != nullptr) {
     ProfilerSimpleGuard span(prof, QueryProfiler::kPublish);
+    const std::vector<uint64_t>& slot_keys = ctx.canonical.slot_keys;
     for (const SelectivityCache& cache : session.caches()) {
-      if (cache.num_slots() != canonical.slot_keys.size()) continue;
+      if (cache.num_slots() != slot_keys.size()) continue;
       for (size_t slot = 0; slot < cache.num_slots(); ++slot) {
         if (!cache.Has(slot)) continue;
-        if (store->Publish(canonical.slot_keys[slot], epoch, cache.Get(slot))) {
+        if (store->Publish(slot_keys[slot], ctx.epoch, cache.Get(slot))) {
           ++resp.stats.shared_published;
         }
       }
@@ -863,15 +843,14 @@ Result<RewriteResponse> MalivaService::ServeImpl(const RewriteRequest& request,
   // strategy, so the stamp stays 0 there (the documented frozen-weights
   // value) — but the abandoned MDP attempt's transitions are still real
   // observed feedback and are recorded either way.
-  if (model) {
-    if (!resp.exact_fallback) {
-      resp.stats.agent_snapshot_version = model.snapshot->meta().version;
-    }
+  if (ctx.model) {
+    if (!resp.exact_fallback) resp.stats.agent_snapshot_version = ctx.snapshot_version;
     if (!session.transitions().empty()) {
-      online->Record(agent_key, session.TakeTransitions());
+      state_.continual_trainer->Record(ctx.agent_key, session.TakeTransitions());
     }
   }
 
+  // Render.
   {
     ProfilerSimpleGuard span(prof, QueryProfiler::kRender);
     resp.rewritten_sql =
@@ -880,21 +859,15 @@ Result<RewriteResponse> MalivaService::ServeImpl(const RewriteRequest& request,
             : request.query->ToString();
   }
 
-  // Decision tier, publish side: the completed search becomes this context's
-  // cached entry (leader resolution wakes any coalesced followers with it).
-  // The stats captured here are the entry's replay template — hit flags and
-  // the wall clock are per-request and still zero at this point.
+  // Publish: the completed search becomes this context's cached entry
+  // (leader resolution wakes any coalesced followers with it). The stats
+  // captured here are the entry's replay template — hit flags and the wall
+  // clock are per-request and still zero at this point.
   if (rcache != nullptr) {
     ProfilerSimpleGuard span(prof, QueryProfiler::kPublish);
     abort_guard.Disarm();
-    CachedRewrite cached;
-    cached.strategy = resp.strategy;
-    cached.outcome = resp.outcome;
-    cached.option = resp.option;
-    cached.exact_fallback = resp.exact_fallback;
-    cached.stats = resp.stats;
-    rcache->Publish(ticket, fingerprint, epoch, snapshot_version,
-                    std::move(cached));
+    rcache->Publish(ticket, ctx.fingerprint, ctx.epoch, ctx.snapshot_version,
+                    DecisionOf(resp));
   }
   if (prof != nullptr) resp.stats.profile = prof->Snapshot();
   return resp;
@@ -977,21 +950,14 @@ ThreadPool& MalivaService::Pool() const {
 
 std::vector<Result<RewriteResponse>> MalivaService::ServeBatch(
     std::span<const RewriteRequest> requests) const {
-  // Build phase first: warm every strategy the batch names (plus the exact
-  // fallback when a quality floor may trigger it), in first-appearance
-  // order, so serve-phase workers never contend on the build lock. Training
-  // is seeded per agent key, so build order cannot change any result; build
-  // failures are not cached and re-surface per request below.
+  // Build phase first: warm every strategy the batch needs, in
+  // first-appearance order, so serve-phase workers never contend on the
+  // build lock. Training is seeded per agent key, so build order cannot
+  // change any result; build failures are not cached and re-surface per
+  // request below.
   std::vector<std::string> needed;
-  auto want = [&needed](const std::string& name) {
-    for (const std::string& have : needed) {
-      if (have == name) return;
-    }
-    needed.push_back(name);
-  };
   for (const RewriteRequest& request : requests) {
-    want(request.strategy.empty() ? config_.default_strategy : request.strategy);
-    if (request.quality_floor.has_value()) want("baseline");
+    AppendNeededStrategies(request, config_, &needed);
   }
   for (const std::string& name : needed) {
     (void)GetRewriter(name);  // failure handled per request
@@ -1000,10 +966,9 @@ std::vector<Result<RewriteResponse>> MalivaService::ServeBatch(
   // In-batch dedup (result cache on only): members sharing one decision
   // context are grouped behind their first occurrence, so N copies of a
   // query cost one search plus N-1 replays — without even enqueueing N
-  // blocked pool tasks for the single-flight protocol to coalesce. The
-  // pre-pass runs after the build phase, so default taus resolve without
-  // triggering training; anything unresolvable (invalid request, cold
-  // strategy) stays unique and serves normally.
+  // blocked pool tasks for the single-flight protocol to coalesce. The key
+  // is FingerprintRequest's; an invalid request (fingerprint 0) stays
+  // unique and serves normally.
   RewriteResultCache* rcache = state_.result_cache.get();
   constexpr size_t kUnique = static_cast<size_t>(-1);
   std::vector<size_t> replay_of(requests.size(), kUnique);
@@ -1011,18 +976,8 @@ std::vector<Result<RewriteResponse>> MalivaService::ServeBatch(
     std::unordered_map<uint64_t, size_t> first_by_key;
     first_by_key.reserve(requests.size());
     for (size_t i = 0; i < requests.size(); ++i) {
-      const RewriteRequest& req = requests[i];
-      if (!ValidateRequest(req).ok()) continue;
-      const std::string& name =
-          req.strategy.empty() ? config_.default_strategy : req.strategy;
-      const Rewriter* strategy = FindBuiltRewriter(name);
-      if (strategy == nullptr) continue;
-      double tau = req.tau_ms.value_or(strategy->default_tau_ms());
-      CanonicalQuery canonical = Canonicalize(*req.query, signature_options_);
-      uint64_t fp = MakeRequestFingerprint(canonical.signature, name, tau,
-                                           req.quality_floor,
-                                           fingerprint_options_)
-                        .value;
+      const uint64_t fp = FingerprintRequest(requests[i]);
+      if (fp == 0) continue;
       auto [it, inserted] = first_by_key.emplace(fp, i);
       if (!inserted) replay_of[i] = it->second;
     }
@@ -1035,7 +990,7 @@ std::vector<Result<RewriteResponse>> MalivaService::ServeBatch(
   std::vector<std::optional<Result<RewriteResponse>>> slots(requests.size());
   auto serve_one = [this, &slots, &requests, &replay_of](size_t i) {
     if (replay_of[i] != kUnique) return;
-    slots[i] = ServeIndexed(requests[i], i);
+    slots[i] = ServeAt(requests[i], i);
   };
   if (std::min(ResolvedNumThreads(), requests.size()) <= 1) {
     for (size_t i = 0; i < requests.size(); ++i) serve_one(i);
@@ -1046,27 +1001,20 @@ std::vector<Result<RewriteResponse>> MalivaService::ServeBatch(
   // Replay phase: each follower copies its leader's decision bytes, renders
   // SQL against its own query, and stamps hit+coalesced — exactly what a
   // cache hit on the published entry would produce, minus the map probe.
+  // The leader's error is its context's answer (identical requests fail
+  // identically), so it is replayed as well.
   for (size_t i = 0; i < requests.size(); ++i) {
     if (replay_of[i] == kUnique) continue;
-    auto wall_start = std::chrono::steady_clock::now();
+    const auto start = std::chrono::steady_clock::now();
     const Result<RewriteResponse>& led = *slots[replay_of[i]];
     if (!led.ok()) {
-      // The leader's error is this context's answer (identical requests fail
-      // identically); replaying it keeps per-slot outcomes consistent.
-      RecordError(0.0);
+      Record(start, nullptr);
       slots[i] = led.status();
       continue;
     }
-    RewriteResponse resp = ReplayCached(
-        CachedRewrite{led.value().strategy, led.value().outcome,
-                      led.value().option, led.value().exact_fallback,
-                      led.value().stats},
-        *requests[i].query, /*coalesced=*/true);
-    double wall_ms = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - wall_start)
-                         .count();
-    resp.stats.serve_wall_ms = wall_ms;
-    RecordServed(resp, wall_ms);
+    RewriteResponse resp = ReplayCached(DecisionOf(led.value()),
+                                        *requests[i].query, /*coalesced=*/true);
+    Record(start, &resp);
     rcache->NoteCoalesced(1);
     slots[i] = std::move(resp);
   }

@@ -40,6 +40,7 @@
 #ifndef MALIVA_SERVICE_SERVICE_H_
 #define MALIVA_SERVICE_SERVICE_H_
 
+#include <chrono>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -62,6 +63,7 @@
 namespace maliva {
 
 class ThreadPool;  // util/thread_pool.h; owned pool is created lazily
+class QueryProfiler;  // util/query_profiler.h
 
 /// Configuration of one MalivaService instance. Builder-style setters allow
 /// inline construction; every knob has a sensible default.
@@ -238,10 +240,6 @@ struct ServiceConfig {
     qte = params;
     return *this;
   }
-  ServiceConfig& WithTrainer(TrainerConfig config) {
-    trainer = config;
-    return *this;
-  }
   ServiceConfig& WithTrainerIterations(size_t iterations) {
     trainer.max_iterations = iterations;
     return *this;
@@ -288,26 +286,6 @@ struct ServiceConfig {
   }
   ServiceConfig& WithHistogramSelectivity(bool enabled) {
     histogram_selectivity = enabled;
-    return *this;
-  }
-  ServiceConfig& WithHistogramBuckets(size_t buckets) {
-    histogram_buckets = buckets;
-    return *this;
-  }
-  ServiceConfig& WithHistogramGridCells(size_t cells) {
-    histogram_grid_cells = cells;
-    return *this;
-  }
-  ServiceConfig& WithHistogramCostMs(double ms) {
-    histogram_cost_ms = ms;
-    return *this;
-  }
-  ServiceConfig& WithMaxHistogramRelError(double rel_error) {
-    max_histogram_rel_error = rel_error;
-    return *this;
-  }
-  ServiceConfig& WithHistogramErrorWindow(size_t window) {
-    histogram_error_window = window;
     return *this;
   }
   ServiceConfig& WithResultCache(bool enabled) {
@@ -372,10 +350,6 @@ struct ServiceConfig {
   }
   ServiceConfig& WithProfileSampleEvery(size_t every) {
     profile_sample_every = every;
-    return *this;
-  }
-  ServiceConfig& WithMetricsScenario(std::string scenario) {
-    metrics_scenario = std::move(scenario);
     return *this;
   }
 };
@@ -503,9 +477,7 @@ class MalivaService {
   /// partition one batch across services but must reproduce each service's
   /// own batch results byte for byte.
   Result<RewriteResponse> ServeAt(const RewriteRequest& request,
-                                  uint64_t request_index) const {
-    return ServeIndexed(request, request_index);
-  }
+                                  uint64_t request_index) const;
 
   /// Returns (building and training on a miss, behind the exclusive build
   /// lock) strategy `name`. The returned pointer is stable for the service's
@@ -550,11 +522,13 @@ class MalivaService {
   const ServeMetrics& serve_metrics() const { return serve_metrics_; }
 
   /// Decision-context fingerprint of `request` — the same canonicalized
-  /// (signature, strategy, tau-bin) key the rewrite-result cache uses.
-  /// Returns 0 when the request is invalid, the service is misconfigured, or
-  /// the strategy is not yet built (never builds, never counts anything).
-  /// Cold-path only: the fleet stamps it onto TraceEvents when the trace
-  /// ring is enabled.
+  /// (signature, strategy, tau-bin, floor-bin) key the rewrite-result cache
+  /// and ServeBatch's in-batch dedup use. A strategy not yet built resolves
+  /// its default tau to the scenario's (what the built-in strategies
+  /// default to), so the value does not move when the strategy builds.
+  /// Returns 0 when the request is invalid or the service misconfigured;
+  /// never builds, never counts anything. The fleet stamps it onto
+  /// TraceEvents when the trace ring is enabled.
   uint64_t FingerprintRequest(const RewriteRequest& request) const;
 
   Scenario* scenario() { return scenario_; }
@@ -564,10 +538,6 @@ class MalivaService {
   /// Resolved QTE cost parameters (config override or scenario defaults,
   /// jitter seed mixed from the scenario seed).
   const QteParams& qte_params() const { return qte_params_; }
-
-  /// Replaces the approximation rules used by not-yet-built "quality/*"
-  /// strategies (already built strategies are unaffected).
-  void SetApproxRules(std::vector<ApproxRule> rules);
 
   // --- hooks for strategy builders (RewriterFactory) and harnesses ---------
   //
@@ -613,12 +583,32 @@ class MalivaService {
                           const std::vector<const Query*>& workload) const;
 
  private:
-  /// Serve body; `request_index` seeds the per-request session RNG (0 for
-  /// single Serve calls, the batch position inside ServeBatch). Wraps
-  /// ServeImpl with wall-clock timing and counter accounting.
-  Result<RewriteResponse> ServeIndexed(const RewriteRequest& request,
-                                       uint64_t request_index) const;
+  /// One request's decision context: the effective tau and — when a plane
+  /// keys on it — the canonical query, catalog epoch and fingerprint, plus
+  /// the online agent snapshot its strategy serves (null when frozen).
+  struct DecisionContext {
+    double tau_ms = 0.0;
+    CanonicalQuery canonical;
+    uint64_t epoch = 0;
+    uint64_t fingerprint = 0;
+    const char* agent_key = nullptr;
+    PublishedModel model;
+    uint64_t snapshot_version = 0;
+  };
 
+  /// The resolve stage every entry point shares: the only derivation of a
+  /// request's decision context. `strategy` is what the caller already
+  /// resolved for `name` — built by the serve path, looked up (possibly
+  /// null: scenario tau) by the probe paths. `keyed` canonicalizes and
+  /// fingerprints (under the profiler's signature span); without it the
+  /// query is never canonicalized.
+  DecisionContext ResolveContext(const RewriteRequest& request,
+                                 const std::string& name,
+                                 const Rewriter* strategy, bool keyed,
+                                 QueryProfiler* prof) const;
+
+  /// Serve body behind ServeAt's record step: resolve, probe, search,
+  /// render, publish. `request_index` seeds the per-request session RNG.
   Result<RewriteResponse> ServeImpl(const RewriteRequest& request,
                                     uint64_t request_index) const;
 
@@ -634,7 +624,7 @@ class MalivaService {
   ThreadPool& Pool() const;
 
   Scenario* scenario_;
-  ServiceConfig config_;
+  const ServiceConfig config_;
   /// ServiceConfig::Validate() outcome, computed once at construction;
   /// surfaced by Serve/Warmup/GetRewriter instead of silently clamping.
   Status config_status_;
@@ -646,11 +636,12 @@ class MalivaService {
   /// Tau/floor binning of result-cache keys, derived from the config.
   FingerprintOptions fingerprint_options_;
 
-  /// The one record call per served response and per error: ServeIndexed,
-  /// TryServeCached and the replay phase of ServeBatch all count through
-  /// these, so every path shares the exact outcome classification.
-  void RecordServed(const RewriteResponse& response, double wall_ms) const;
-  void RecordError(double wall_ms) const;
+  /// The record stage, the one count per answered request: stamps
+  /// `response`'s serve_wall_ms with the host wall time since `start` and
+  /// counts it served, or counts an error when `response` is null. ServeAt,
+  /// TryServeCached and ServeBatch's replay phase all return through it.
+  void Record(std::chrono::steady_clock::time_point start,
+              RewriteResponse* response) const;
 
   /// The only store of the serving counters; every serve_metrics_ handle
   /// resolves at construction, so the serve path is relaxed atomics with
@@ -658,15 +649,24 @@ class MalivaService {
   mutable MetricsRegistry metrics_registry_;
   ServeMetrics serve_metrics_;
 
-  /// Guards mutation of `state_` (strategy builds, SetApproxRules). Reads
-  /// of published entries take the shared side; entries are never removed,
-  /// so pointers obtained under the lock stay valid without it.
+  /// Guards mutation of `state_` (strategy builds). Reads of published
+  /// entries take the shared side; entries are never removed, so pointers
+  /// obtained under the lock stay valid without it.
   mutable std::shared_mutex state_mutex_;
   mutable ServingState state_;
 
   mutable std::once_flag pool_once_;
   mutable std::unique_ptr<ThreadPool> pool_;
 };
+
+/// Appends to `needed`, unless already there, every strategy serving
+/// `request` under `config` may build: the request's strategy (or the
+/// config default), then the exact "baseline" fallback when it carries a
+/// quality floor. MalivaService::ServeBatch and MalivaFleet::ServeBatch
+/// warm exactly these before fanning out.
+void AppendNeededStrategies(const RewriteRequest& request,
+                            const ServiceConfig& config,
+                            std::vector<std::string>* needed);
 
 }  // namespace maliva
 

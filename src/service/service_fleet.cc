@@ -483,27 +483,21 @@ std::vector<Result<RewriteResponse>> MalivaFleet::ServeBatch(
   // out, so serve workers never contend on a build lock. Failures are not
   // cached and re-surface per request.
   {
-    std::vector<std::pair<Shard*, std::string>> needed;
-    auto want = [&needed](Shard* shard, std::string name) {
-      for (const auto& [s, n] : needed) {
-        if (s == shard && n == name) return;
-      }
-      needed.emplace_back(shard, std::move(name));
-    };
+    // The admission gate may rewrite any member to the degrade strategy.
+    RewriteRequest degrade;
+    if (admission_ != nullptr) degrade.strategy = config_.admission.degrade_strategy;
+    std::unordered_map<Shard*, std::vector<std::string>> needed;
     for (size_t i = 0; i < requests.size(); ++i) {
       if (routed[i].shard == nullptr) continue;
       Shard* shard = routed[i].shard.get();
-      want(shard, requests[i].strategy.empty()
-                      ? shard->service->config().default_strategy
-                      : requests[i].strategy);
-      if (requests[i].quality_floor.has_value()) want(shard, "baseline");
-      // The admission gate may rewrite any member to the degrade strategy.
-      if (admission_ != nullptr && !config_.admission.degrade_strategy.empty()) {
-        want(shard, config_.admission.degrade_strategy);
-      }
+      const ServiceConfig& config = shard->service->config();
+      AppendNeededStrategies(requests[i], config, &needed[shard]);
+      if (!degrade.strategy.empty()) AppendNeededStrategies(degrade, config, &needed[shard]);
     }
-    for (const auto& [shard, name] : needed) {
-      (void)shard->service->GetRewriter(name);  // failure handled per request
+    for (const auto& [shard, names] : needed) {
+      for (const std::string& name : names) {
+        (void)shard->service->GetRewriter(name);  // failure handled per request
+      }
     }
   }
 

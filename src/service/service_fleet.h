@@ -145,10 +145,6 @@ struct FleetConfig {
     slo_target_hit_rate = rate;
     return *this;
   }
-  FleetConfig& WithSloWindowCount(size_t count) {
-    slo_window_count = count;
-    return *this;
-  }
   FleetConfig& WithSloMinRequests(uint64_t requests) {
     slo_min_requests = requests;
     return *this;

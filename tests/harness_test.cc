@@ -1,12 +1,13 @@
 // Harness tests: experiment runner aggregation, table rendering, and the
-// ExperimentSetup approach factory.
+// service hooks the paper benches drive (ApproachFor, MakeEnv, TrainAgentOn).
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "harness/setup.h"
+#include "harness/experiment.h"
 #include "qte/accurate_qte.h"
+#include "service/service.h"
 
 namespace maliva {
 namespace {
@@ -84,23 +85,19 @@ TEST_F(HarnessTest, TablePrintersEmitAllBucketsAndApproaches) {
 }
 
 TEST_F(HarnessTest, SetupBaselineIsCached) {
-  ExperimentSetup::Options opt;
-  opt.trainer.max_iterations = 3;
-  opt.num_agent_seeds = 1;
-  ExperimentSetup setup(scenario_, opt);
-  Approach a = setup.Baseline();
-  Approach b = setup.Baseline();
+  MalivaService service(scenario_,
+                        ServiceConfig().WithTrainerIterations(3).WithAgentSeeds(1));
+  Approach a = ApproachFor(service, "baseline");
+  Approach b = ApproachFor(service, "baseline");
   const Query& q = *scenario_->evaluation[0];
   EXPECT_DOUBLE_EQ(a.rewrite(q).total_ms, b.rewrite(q).total_ms);
 }
 
 TEST_F(HarnessTest, SetupEnvWiring) {
-  ExperimentSetup::Options opt;
-  opt.trainer.max_iterations = 2;
-  opt.num_agent_seeds = 1;
-  ExperimentSetup setup(scenario_, opt);
+  MalivaService service(scenario_,
+                        ServiceConfig().WithTrainerIterations(2).WithAgentSeeds(1));
   AccurateQte qte;
-  RewriterEnv renv = setup.MakeEnv(&qte);
+  RewriterEnv renv = service.MakeEnv(&qte);
   EXPECT_EQ(renv.engine, scenario_->engine.get());
   EXPECT_EQ(renv.oracle, scenario_->oracle.get());
   EXPECT_EQ(renv.options, &scenario_->options);
@@ -108,21 +105,19 @@ TEST_F(HarnessTest, SetupEnvWiring) {
   EXPECT_DOUBLE_EQ(renv.env_config.beta, 1.0);
   EXPECT_EQ(renv.env_config.quality, nullptr);
 
-  RewriterEnv qa = setup.MakeEnv(&qte, 0.5);
+  RewriterEnv qa = service.MakeEnv(&qte, 0.5);
   EXPECT_NE(qa.env_config.quality, nullptr);
 }
 
 TEST_F(HarnessTest, TrainAgentOnRecordsHistory) {
-  ExperimentSetup::Options opt;
-  opt.trainer.max_iterations = 4;
-  opt.trainer.patience = 100;
-  opt.num_agent_seeds = 1;
-  ExperimentSetup setup(scenario_, opt);
+  ServiceConfig config = ServiceConfig().WithTrainerIterations(4).WithAgentSeeds(1);
+  config.trainer.patience = 100;
+  MalivaService service(scenario_, config);
   std::vector<Trainer::IterationStats> history;
-  std::unique_ptr<QAgent> agent = setup.TrainAgentOn(scenario_->train, 7, &history);
+  std::unique_ptr<QAgent> agent = service.TrainAgentOn(scenario_->train, 7, &history);
   ASSERT_NE(agent, nullptr);
   EXPECT_EQ(history.size(), 4u);
-  double vqp = setup.EvaluateAgentVqp(*agent, scenario_->validation);
+  double vqp = service.EvaluateAgentVqp(*agent, scenario_->validation);
   EXPECT_GE(vqp, 0.0);
   EXPECT_LE(vqp, 100.0);
 }

@@ -4,7 +4,8 @@
 
 #include <gtest/gtest.h>
 
-#include "harness/setup.h"
+#include "harness/experiment.h"
+#include "service/service.h"
 
 namespace maliva {
 namespace {
@@ -84,7 +85,7 @@ TEST_F(IntegrationTest, QualityAwareServesZeroViableQueries) {
   BucketedWorkload bw = BucketQueries(*scenario_->oracle, scenario_->evaluation,
                                       scenario_->options, 500.0,
                                       BucketScheme::Exact0To4());
-  if (bw.buckets[0].size() < 10) GTEST_SKIP() << "not enough 0-viable queries";
+  ASSERT_GE(bw.buckets[0].size(), 10u) << "not enough 0-viable queries";
 
   ExperimentResult r = RunExperiment({ApproachFor(*service_, "baseline"), one_stage}, bw);
   // Approximation unlocks some of the 0-viable bucket (paper Fig 20a).
@@ -113,7 +114,7 @@ TEST_F(IntegrationTest, TwoStagePreservesQualityBetterThanOneStage) {
     q2 += r.buckets[b].per_approach[1].quality * static_cast<double>(bn);
     n += bn;
   }
-  if (n < 10) GTEST_SKIP() << "not enough easy queries";
+  ASSERT_GE(n, 10u) << "not enough easy queries";
   EXPECT_GE(q2 / static_cast<double>(n), q1 / static_cast<double>(n) - 1e-9);
 }
 
