@@ -3,10 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdio>
 #include <set>
 
 #include "engine/optimizer.h"
 #include "test_helpers.h"
+#include "workload/scenario.h"
 
 namespace maliva {
 namespace {
@@ -177,6 +180,195 @@ TEST(ExecutorTest, EmptyResultQueries) {
     ASSERT_TRUE(r.ok());
     EXPECT_TRUE(r.value().vis.ids.empty());
   }
+}
+
+// ---------------------------------------------------------------------------
+// Execution golden: a digest of everything ExecutePlan reports (exec_ms bits,
+// every PlanCards field, the plan that ran, vis ids in order and bins sorted)
+// over every plan shape the executor has: full scans, multi-index
+// intersections with residual filters, LIMIT and sample-table approximations,
+// all three join methods, and keyword predicates with and without an inverted
+// index. Any change to the executor that moves a row count, a virtual time or
+// an output row changes a digest.
+
+class ExecDigest {
+ public:
+  void Add(uint64_t v) {
+    h_ ^= v + 0x9e3779b97f4a7c15ULL + (h_ << 6) + (h_ >> 2);
+    h_ *= 0xff51afd7ed558ccdULL;
+  }
+  void Add(double v) { Add(std::bit_cast<uint64_t>(v)); }
+
+  void Add(const Result<ExecResult>& r) {
+    ++runs_;
+    Add(static_cast<uint64_t>(r.status().code()));
+    if (!r.ok()) return;
+    const ExecResult& e = r.value();
+    Add(e.exec_ms);
+    Add(static_cast<uint64_t>(e.plan.index_mask));
+    Add(static_cast<uint64_t>(e.plan.join_method));
+    Add(static_cast<uint64_t>(e.plan.approx.kind));
+    Add(e.plan.approx.fraction);
+    const PlanCards& c = e.cards;
+    for (double v : {c.scanned_rows, c.scan_preds, c.candidates, c.residual_preds,
+                     c.output_rows, c.right_scanned, c.build_rows, c.probe_rows,
+                     c.nl_outer, c.sort_rows, c.merge_rows, c.join_output}) {
+      Add(v);
+    }
+    Add(static_cast<uint64_t>(c.postings.size()));
+    for (double v : c.postings) Add(v);
+    Add(static_cast<uint64_t>(c.heatmap));
+    Add(static_cast<uint64_t>(c.has_join));
+    Add(static_cast<uint64_t>(c.join_method));
+    Add(static_cast<uint64_t>(e.vis.ids.size()));
+    for (int64_t id : e.vis.ids) Add(static_cast<uint64_t>(id));
+    std::vector<std::pair<int64_t, int64_t>> bins(e.vis.bins.begin(), e.vis.bins.end());
+    std::sort(bins.begin(), bins.end());
+    Add(static_cast<uint64_t>(bins.size()));
+    for (const auto& [bin, count] : bins) {
+      Add(static_cast<uint64_t>(bin));
+      Add(static_cast<uint64_t>(count));
+    }
+  }
+
+  uint64_t value() const { return h_; }
+  size_t runs() const { return runs_; }
+
+ private:
+  uint64_t h_ = 0x6d616c697661ULL;
+  size_t runs_ = 0;
+};
+
+/// Runs every option of each of the first `num_queries` queries: every index
+/// mask under every applicable join method, and for the full scan and the
+/// all-index plan also LIMIT 10% / 50% and each approximation sample table.
+ExecDigest DigestScenario(const ScenarioConfig& config, size_t num_queries) {
+  Scenario s = BuildScenario(config);
+  ExecDigest digest;
+  auto run = [&](const Query& q, const PlanSpec& spec) {
+    Result<ExecResult> r = s.engine->ExecutePlan(q, spec);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    digest.Add(r);
+  };
+  for (size_t qi = 0; qi < num_queries && qi < s.queries.size(); ++qi) {
+    Query q = s.queries[qi];
+    std::vector<Query> variants = {q};
+    if (q.join.has_value()) {
+      // A second right predicate exercises the join's residual right filter.
+      Query two = q;
+      Predicate wider = two.join->right_predicates[0];
+      wider.range.hi += (wider.range.hi - wider.range.lo);
+      two.join->right_predicates.push_back(wider);
+      variants.push_back(std::move(two));
+    }
+    for (const Query& v : variants) {
+      const uint32_t full = (1u << v.predicates.size()) - 1;
+      std::vector<JoinMethod> methods = {JoinMethod::kNestedLoop};
+      if (v.join.has_value()) {
+        methods = {JoinMethod::kNestedLoop, JoinMethod::kHash, JoinMethod::kMerge};
+      }
+      std::vector<ApproxRule> approx = {{ApproxKind::kLimit, 0.1}, {ApproxKind::kLimit, 0.5}};
+      for (double rate : config.approx_sample_rates) {
+        approx.push_back({ApproxKind::kSampleTable, rate});
+      }
+      for (JoinMethod method : methods) {
+        for (uint32_t mask = 0; mask <= full; ++mask) {
+          PlanSpec spec;
+          spec.index_mask = mask;
+          spec.join_method = method;
+          run(v, spec);
+        }
+        for (uint32_t mask : {0u, full}) {
+          for (const ApproxRule& rule : approx) {
+            PlanSpec spec;
+            spec.index_mask = mask;
+            spec.join_method = method;
+            spec.approx = rule;
+            run(v, spec);
+          }
+        }
+      }
+    }
+  }
+  return digest;
+}
+
+ScenarioConfig GoldenConfig(DatasetKind kind, uint64_t seed) {
+  ScenarioConfig c;
+  c.kind = kind;
+  c.num_rows = 3000;
+  c.num_users = 400;
+  c.num_queries = 12;
+  c.seed = seed;
+  return c;
+}
+
+void ExpectDigest(const char* name, const ExecDigest& d, uint64_t expect_digest,
+                  size_t expect_runs) {
+  std::printf("%s: digest 0x%016llxULL over %zu runs\n", name,
+              static_cast<unsigned long long>(d.value()), d.runs());
+  EXPECT_EQ(d.runs(), expect_runs) << name;
+  EXPECT_EQ(d.value(), expect_digest) << name;
+}
+
+TEST(ExecutionGoldenTest, TwitterHeatmap) {
+  ScenarioConfig c = GoldenConfig(DatasetKind::kTwitter, 11);
+  c.num_attrs = 4;
+  c.approx_sample_rates = {0.2};
+  ExpectDigest("twitter", DigestScenario(c, 5), 0x1bd7cc27cf414861ULL, 110);
+}
+
+TEST(ExecutionGoldenTest, TwitterJoin) {
+  ScenarioConfig c = GoldenConfig(DatasetKind::kTwitter, 12);
+  c.join = true;
+  c.output = OutputKind::kScatter;
+  ExpectDigest("twitter-join", DigestScenario(c, 4), 0xaf5f1ac036b1a61fULL, 288);
+}
+
+TEST(ExecutionGoldenTest, TaxiCommercialProfile) {
+  // Noise, warm-buffer speedups and dynamic re-planning all draw from the
+  // execution's seeded RNG.
+  ScenarioConfig c = GoldenConfig(DatasetKind::kTaxi, 13);
+  c.output = OutputKind::kScatter;
+  c.profile = EngineProfile::CommercialLike();
+  ExpectDigest("taxi", DigestScenario(c, 5), 0x0adcd689d270c3eaULL, 60);
+}
+
+TEST(ExecutionGoldenTest, TpchSampleTables) {
+  ScenarioConfig c = GoldenConfig(DatasetKind::kTpch, 14);
+  c.approx_sample_rates = {0.2, 0.4};
+  ExpectDigest("tpch", DigestScenario(c, 5), 0x67dbc1a7c434e3c6ULL, 80);
+}
+
+TEST(ExecutionGoldenTest, KeywordWithoutInvertedIndex) {
+  // Without a text index the keyword predicate is evaluated by tokenizing
+  // each row, in the full scan, the residual filter and the selectivity scan.
+  auto engine = std::make_unique<Engine>(EngineProfile::PostgresLike(), 5);
+  ASSERT_TRUE(engine
+                  ->RegisterTable(testing_helpers::SmallTweets(3000, 5),
+                                  {"created_at", "coordinates"})
+                  .ok());
+  ExecDigest digest;
+  const std::vector<Query> queries = {
+      SmallQuery(21, "w1", 2000, 7000, {20, 10, 80, 40}),
+      SmallQuery(22, "burst", 0, 9999, {0, 0, 100, 50}, OutputKind::kHeatmap),
+      SmallQuery(23, "absent", 1000, 3000, {10, 5, 60, 30})};
+  for (const Query& q : queries) {
+    for (uint32_t mask : {0u, 2u, 4u, 6u}) {
+      PlanSpec spec;
+      spec.index_mask = mask;
+      digest.Add(engine->ExecutePlan(q, spec));
+    }
+    PlanSpec limited;
+    limited.approx = {ApproxKind::kLimit, 0.5};
+    digest.Add(engine->ExecutePlan(q, limited));
+    for (const Predicate& p : q.predicates) {
+      Result<double> sel = engine->TrueSelectivity("tweets", p);
+      ASSERT_TRUE(sel.ok());
+      digest.Add(sel.value());
+    }
+  }
+  ExpectDigest("no-inverted-index", digest, 0x714bade53c96c960ULL, 15);
 }
 
 }  // namespace
