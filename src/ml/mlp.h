@@ -79,6 +79,8 @@ class Mlp {
 
   size_t NumParameters() const;
 
+  const std::vector<LinearLayer>& layers() const { return layers_; }
+
  private:
   std::vector<LinearLayer> layers_;
   int64_t adam_t_ = 0;

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdio>
 
 #include "ml/epsilon.h"
 #include "ml/mlp.h"
@@ -145,6 +147,46 @@ TEST(MlpTest, CopyParamsMakesNetworksIdentical) {
   EXPECT_NE(a.Forward(x), b.Forward(x));
   b.CopyParamsFrom(a);
   EXPECT_EQ(a.Forward(x), b.Forward(x));
+}
+
+TEST(MlpTest, TrainingIsBitIdentical) {
+  // Pins the exact bits of a fixed-seed network after K accumulate/step
+  // rounds: the squared errors, the weights and biases, and Forward outputs.
+  // Layer widths are odd (and one is below four) so any blocked loop over
+  // outputs or inputs also runs its remainder. Summation order is part of
+  // the contract: a reordered sum moves the digest.
+  uint64_t h = 0x71;
+  auto mix = [&h](double v) {
+    h ^= std::bit_cast<uint64_t>(v) + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+    h *= 0xff51afd7ed558ccdULL;
+  };
+  Rng init(17);
+  Mlp net({7, 13, 11, 3}, &init);
+  Rng data(23);
+  auto sample = [&data]() {
+    std::vector<double> x(7);
+    for (double& v : x) v = data.Uniform(-1.0, 1.0);
+    return x;
+  };
+  constexpr int kRounds = 40;
+  constexpr size_t kBatch = 3;
+  for (int round = 0; round < kRounds; ++round) {
+    for (size_t b = 0; b < kBatch; ++b) {
+      std::vector<double> x = sample();
+      int action = static_cast<int>(data.UniformInt(0, 2));
+      mix(net.AccumulateGradient(x, action, data.Uniform(-2.0, 2.0)));
+    }
+    net.Step(1e-2, kBatch);
+  }
+  for (const LinearLayer& layer : net.layers()) {
+    for (double w : layer.weights()) mix(w);
+    for (double b : layer.bias()) mix(b);
+  }
+  for (int probe = 0; probe < 8; ++probe) {
+    for (double q : net.Forward(sample())) mix(q);
+  }
+  std::printf("training digest 0x%016llxULL\n", static_cast<unsigned long long>(h));
+  EXPECT_EQ(h, 0xd3814fde4ba3982aULL);
 }
 
 TEST(ReplayBufferTest, FifoEviction) {
