@@ -4,7 +4,6 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
-#include <functional>
 
 #include "engine/binning.h"
 #include "engine/optimizer.h"
@@ -16,23 +15,75 @@ namespace maliva {
 
 namespace {
 
-/// Evaluates one predicate against one row by direct column access.
-bool EvalPredicate(const Table& table, const Predicate& pred, RowId row) {
-  const Column& col = table.GetColumn(pred.column);
-  switch (pred.type) {
-    case PredicateType::kKeyword: {
-      // Token containment; the inverted index is the fast path, this is the
-      // residual-filter path.
-      std::vector<std::string> tokens = Tokenize(col.TextAt(row));
-      return std::find(tokens.begin(), tokens.end(), pred.keyword) != tokens.end();
+/// One predicate resolved once per plan against the table entry it filters:
+/// the column's typed storage and, for a keyword with an inverted index, its
+/// postings list. Evaluating a row is then a load and a compare, with no
+/// per-row column lookup. Assumes a query that passed ValidateQuery.
+class RowPredicate {
+ public:
+  RowPredicate(const TableEntry& entry, const Predicate& pred) : pred_(&pred) {
+    const Column& col = entry.table->GetColumn(pred.column);
+    switch (col.type()) {
+      case ColumnType::kInt64:
+        ints_ = col.AsInt64().data();
+        break;
+      case ColumnType::kTimestamp:
+        ints_ = col.AsTimestamp().data();
+        break;
+      case ColumnType::kDouble:
+        doubles_ = col.AsDouble().data();
+        break;
+      case ColumnType::kPoint:
+        points_ = col.AsPoint().data();
+        break;
+      case ColumnType::kText:
+        texts_ = col.AsText().data();
+        break;
     }
-    case PredicateType::kTimeRange:
-    case PredicateType::kNumericRange:
-      return pred.range.Contains(col.NumericAt(row));
-    case PredicateType::kSpatialBox:
-      return pred.box.Contains(col.PointAt(row));
+    if (pred.type == PredicateType::kKeyword) {
+      auto it = entry.inverted.find(pred.column);
+      if (it != entry.inverted.end()) postings_ = &it->second->Lookup(pred.keyword);
+    }
   }
-  return false;
+
+  bool operator()(RowId row) const {
+    switch (pred_->type) {
+      case PredicateType::kKeyword: {
+        // Membership in the sorted postings list is semantically identical to
+        // tokenizing the row, and far cheaper (the *charged* cost is governed
+        // by the cost model, not by how ground truth is computed).
+        if (postings_ != nullptr) {
+          return std::binary_search(postings_->begin(), postings_->end(), row);
+        }
+        std::vector<std::string> tokens = Tokenize(texts_[row]);
+        return std::find(tokens.begin(), tokens.end(), pred_->keyword) != tokens.end();
+      }
+      case PredicateType::kTimeRange:
+      case PredicateType::kNumericRange:
+        return pred_->range.Contains(ints_ != nullptr ? static_cast<double>(ints_[row])
+                                                      : doubles_[row]);
+      case PredicateType::kSpatialBox:
+        return pred_->box.Contains(points_[row]);
+    }
+    return false;
+  }
+
+ private:
+  const Predicate* pred_;
+  const int64_t* ints_ = nullptr;
+  const double* doubles_ = nullptr;
+  const GeoPoint* points_ = nullptr;
+  const std::string* texts_ = nullptr;
+  const RowIdList* postings_ = nullptr;
+};
+
+/// Every predicate of `preds` resolved against `entry`.
+std::vector<RowPredicate> ResolvePredicates(const TableEntry& entry,
+                                            const std::vector<Predicate>& preds) {
+  std::vector<RowPredicate> out;
+  out.reserve(preds.size());
+  for (const Predicate& p : preds) out.emplace_back(entry, p);
+  return out;
 }
 
 /// Deterministic 64-bit seed from the execution identity (query, plan).
@@ -254,8 +305,9 @@ double Engine::TrueSelectivityOnEntry(const TableEntry& entry,
     }
   }
   // Scan fallback for unindexed predicates.
+  RowPredicate matches(entry, pred);
   for (RowId row = 0; row < n; ++row) {
-    if (EvalPredicate(*entry.table, pred, row)) ++count;
+    if (matches(row)) ++count;
   }
   return static_cast<double>(count) / static_cast<double>(n);
 }
@@ -379,26 +431,7 @@ Result<ExecResult> Engine::ExecutePlan(const Query& query, const PlanSpec& spec)
   PlanCards& cards = result.cards;
   cards.heatmap = (query.output == OutputKind::kHeatmap);
 
-  // Per-predicate evaluators. Keyword predicates check membership in the
-  // (sorted) postings list when an inverted index exists — semantically
-  // identical to tokenizing the row, far cheaper for us (the *charged* cost
-  // is governed by the cost model, not by how we compute ground truth).
-  std::vector<std::function<bool(RowId)>> eval;
-  eval.reserve(m);
-  for (const Predicate& p : query.predicates) {
-    if (p.type == PredicateType::kKeyword) {
-      auto it = entry->inverted.find(p.column);
-      if (it != entry->inverted.end()) {
-        const RowIdList* postings = &it->second->Lookup(p.keyword);
-        eval.push_back([postings](RowId row) {
-          return std::binary_search(postings->begin(), postings->end(), row);
-        });
-        continue;
-      }
-    }
-    const Predicate* pred = &p;
-    eval.push_back([&table, pred](RowId row) { return EvalPredicate(table, *pred, row); });
-  }
+  const std::vector<RowPredicate> eval = ResolvePredicates(*entry, query.predicates);
 
   std::vector<RowId> matched;
   uint32_t mask = effective.index_mask;
@@ -431,19 +464,23 @@ Result<ExecResult> Engine::ExecutePlan(const Query& query, const PlanSpec& spec)
     cards.scan_preds = static_cast<double>(m);
   } else {
     // Index path: fetch postings for hinted predicates, intersect, then
-    // residual-filter the survivors.
-    std::vector<RowIdList> lists;
+    // residual-filter the survivors. Inverted postings are referenced in
+    // place; range and spatial probes materialize their lists.
+    std::vector<RowIdList> fetched;
+    fetched.reserve(m);  // list_ptrs point into it: no reallocation
+    std::vector<const RowIdList*> list_ptrs;
+    list_ptrs.reserve(m);
     for (size_t i = 0; i < m; ++i) {
       if (((mask >> i) & 1u) == 0) continue;
       const Predicate& p = query.predicates[i];
-      RowIdList list;
+      const RowIdList* list = nullptr;
       switch (p.type) {
         case PredicateType::kKeyword: {
           auto it = entry->inverted.find(p.column);
           if (it == entry->inverted.end()) {
             return Status::FailedPrecondition("no inverted index on " + p.column);
           }
-          list = it->second->Lookup(p.keyword);
+          list = &it->second->Lookup(p.keyword);
           break;
         }
         case PredicateType::kTimeRange:
@@ -452,7 +489,7 @@ Result<ExecResult> Engine::ExecutePlan(const Query& query, const PlanSpec& spec)
           if (it == entry->btrees.end()) {
             return Status::FailedPrecondition("no btree index on " + p.column);
           }
-          list = it->second->RangeScan(p.range.lo, p.range.hi);
+          list = &fetched.emplace_back(it->second->RangeScan(p.range.lo, p.range.hi));
           break;
         }
         case PredicateType::kSpatialBox: {
@@ -460,18 +497,16 @@ Result<ExecResult> Engine::ExecutePlan(const Query& query, const PlanSpec& spec)
           if (it == entry->rtrees.end()) {
             return Status::FailedPrecondition("no rtree index on " + p.column);
           }
-          list = it->second->Query(p.box);
+          list = &fetched.emplace_back(it->second->Query(p.box));
           break;
         }
       }
-      cards.postings.push_back(static_cast<double>(list.size()) * scale);
-      lists.push_back(std::move(list));
+      cards.postings.push_back(static_cast<double>(list->size()) * scale);
+      list_ptrs.push_back(list);
     }
 
-    std::vector<const RowIdList*> list_ptrs;
-    list_ptrs.reserve(lists.size());
-    for (const RowIdList& l : lists) list_ptrs.push_back(&l);
-    RowIdList candidates = IntersectAll(list_ptrs);
+    RowIdList intersection;
+    const RowIdList& candidates = IntersectAll(std::move(list_ptrs), &intersection);
 
     size_t residual = m - static_cast<size_t>(std::popcount(mask));
     cards.residual_preds = static_cast<double>(residual);
@@ -513,9 +548,11 @@ Result<ExecResult> Engine::ExecutePlan(const Query& query, const PlanSpec& spec)
     const Column& fk_col = table.GetColumn(js.left_key);
     std::vector<RowId> joined;
 
-    auto right_row_passes = [&](RowId rrow) {
-      for (const Predicate& p : js.right_predicates) {
-        if (!EvalPredicate(rtable, p, rrow)) return false;
+    const std::vector<RowPredicate> right_eval =
+        ResolvePredicates(*right, js.right_predicates);
+    auto right_row_passes = [&right_eval](RowId rrow) {
+      for (const RowPredicate& passes : right_eval) {
+        if (!passes(rrow)) return false;
       }
       return true;
     };

@@ -18,15 +18,17 @@ RowIdList IntersectSorted(const RowIdList& a, const RowIdList& b) {
   return out;
 }
 
-RowIdList IntersectAll(std::vector<const RowIdList*> lists) {
-  if (lists.empty()) return {};
+const RowIdList& IntersectAll(std::vector<const RowIdList*> lists, RowIdList* out) {
+  out->clear();
+  if (lists.empty()) return *out;
+  if (lists.size() == 1) return *lists[0];
   std::sort(lists.begin(), lists.end(),
             [](const RowIdList* x, const RowIdList* y) { return x->size() < y->size(); });
-  RowIdList acc = *lists[0];
-  for (size_t i = 1; i < lists.size() && !acc.empty(); ++i) {
-    acc = IntersectSorted(acc, *lists[i]);
+  *out = IntersectSorted(*lists[0], *lists[1]);
+  for (size_t i = 2; i < lists.size() && !out->empty(); ++i) {
+    *out = IntersectSorted(*out, *lists[i]);
   }
-  return acc;
+  return *out;
 }
 
 RowIdList UnionSorted(const RowIdList& a, const RowIdList& b) {

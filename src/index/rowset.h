@@ -18,9 +18,10 @@ bool IsSortedUnique(const RowIdList& rows);
 /// Intersection of two sorted lists.
 RowIdList IntersectSorted(const RowIdList& a, const RowIdList& b);
 
-/// Intersection of k sorted lists (smallest first for efficiency).
-/// Returns an empty list when `lists` is empty.
-RowIdList IntersectAll(std::vector<const RowIdList*> lists);
+/// Intersection of k sorted lists (smallest first for efficiency). A single
+/// list is returned as is, without a copy; otherwise the intersection is
+/// written to `*out` and `*out` is returned (empty when `lists` is empty).
+const RowIdList& IntersectAll(std::vector<const RowIdList*> lists, RowIdList* out);
 
 /// Union of two sorted lists.
 RowIdList UnionSorted(const RowIdList& a, const RowIdList& b);

@@ -27,9 +27,10 @@ TEST(RowSetTest, IntersectAllSmallestFirst) {
   RowIdList a{1, 2, 3, 4, 5, 6, 7, 8};
   RowIdList b{2, 4, 6, 8};
   RowIdList c{4, 8};
-  EXPECT_EQ(IntersectAll({&a, &b, &c}), (RowIdList{4, 8}));
-  EXPECT_EQ(IntersectAll({&a}), a);
-  EXPECT_TRUE(IntersectAll({}).empty());
+  RowIdList out;
+  EXPECT_EQ(IntersectAll({&a, &b, &c}, &out), (RowIdList{4, 8}));
+  EXPECT_EQ(&IntersectAll({&a}, &out), &a);  // nothing to intersect: no copy
+  EXPECT_TRUE(IntersectAll({}, &out).empty());
 }
 
 TEST(RowSetTest, UnionSorted) {
