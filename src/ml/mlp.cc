@@ -23,29 +23,52 @@ LinearLayer::LinearLayer(size_t in_dim, size_t out_dim, Rng* rng)
 
 void LinearLayer::Forward(const std::vector<double>& x, std::vector<double>* y) const {
   assert(x.size() == in_dim_);
-  y->assign(out_dim_, 0.0);
-  for (size_t o = 0; o < out_dim_; ++o) {
+  y->resize(out_dim_);
+  const double* in = x.data();
+  double* out = y->data();
+  // Four outputs per pass over x: four independent sums instead of one
+  // latency-bound chain. Each output still adds its bias first and then its
+  // inputs in ascending order, so every bit matches the one-output loop.
+  size_t o = 0;
+  for (; o + 4 <= out_dim_; o += 4) {
+    const double* r0 = &w_[o * in_dim_];
+    const double* r1 = r0 + in_dim_;
+    const double* r2 = r1 + in_dim_;
+    const double* r3 = r2 + in_dim_;
+    double a0 = b_[o], a1 = b_[o + 1], a2 = b_[o + 2], a3 = b_[o + 3];
+    for (size_t i = 0; i < in_dim_; ++i) {
+      const double xi = in[i];
+      a0 += r0[i] * xi;
+      a1 += r1[i] * xi;
+      a2 += r2[i] * xi;
+      a3 += r3[i] * xi;
+    }
+    out[o] = a0;
+    out[o + 1] = a1;
+    out[o + 2] = a2;
+    out[o + 3] = a3;
+  }
+  for (; o < out_dim_; ++o) {
     const double* row = &w_[o * in_dim_];
     double acc = b_[o];
-    for (size_t i = 0; i < in_dim_; ++i) acc += row[i] * x[i];
-    (*y)[o] = acc;
+    for (size_t i = 0; i < in_dim_; ++i) acc += row[i] * in[i];
+    out[o] = acc;
   }
 }
 
 void LinearLayer::Backward(const std::vector<double>& x, const std::vector<double>& grad_y,
                            std::vector<double>* grad_x) {
   assert(x.size() == in_dim_ && grad_y.size() == out_dim_);
-  grad_x->assign(in_dim_, 0.0);
+  if (grad_x != nullptr) grad_x->assign(in_dim_, 0.0);
   for (size_t o = 0; o < out_dim_; ++o) {
     double gy = grad_y[o];
     if (gy == 0.0) continue;
     gb_[o] += gy;
     double* grow = &gw_[o * in_dim_];
+    for (size_t i = 0; i < in_dim_; ++i) grow[i] += gy * x[i];
+    if (grad_x == nullptr) continue;
     const double* wrow = &w_[o * in_dim_];
-    for (size_t i = 0; i < in_dim_; ++i) {
-      grow[i] += gy * x[i];
-      (*grad_x)[i] += gy * wrow[i];
-    }
+    for (size_t i = 0; i < in_dim_; ++i) (*grad_x)[i] += gy * wrow[i];
   }
 }
 
@@ -88,51 +111,56 @@ Mlp::Mlp(const std::vector<size_t>& layer_sizes, Rng* rng) {
   }
 }
 
+namespace {
+
+void Relu(std::vector<double>* v) {
+  for (double& a : *v) a = a > 0.0 ? a : 0.0;
+}
+
+}  // namespace
+
 std::vector<double> Mlp::Forward(const std::vector<double>& x) const {
-  std::vector<double> cur = x;
+  // Ping-pong between two buffers; the input is read in place.
+  std::vector<double> cur;
   std::vector<double> next;
+  const std::vector<double>* in = &x;
   for (size_t l = 0; l < layers_.size(); ++l) {
-    layers_[l].Forward(cur, &next);
-    if (l + 1 < layers_.size()) {
-      for (double& v : next) v = v > 0.0 ? v : 0.0;  // ReLU on hidden layers
-    }
-    cur = next;
+    layers_[l].Forward(*in, &next);
+    if (l + 1 < layers_.size()) Relu(&next);  // ReLU on hidden layers
+    cur.swap(next);
+    in = &cur;
   }
   return cur;
 }
 
 double Mlp::AccumulateGradient(const std::vector<double>& x, int action, double target) {
-  // Forward pass storing activations (post-ReLU inputs to each layer).
-  std::vector<std::vector<double>> inputs;  // inputs[l] is input to layer l
-  inputs.reserve(layers_.size());
-  std::vector<double> cur = x;
-  std::vector<double> next;
-  for (size_t l = 0; l < layers_.size(); ++l) {
-    inputs.push_back(cur);
-    layers_[l].Forward(cur, &next);
-    if (l + 1 < layers_.size()) {
-      for (double& v : next) v = v > 0.0 ? v : 0.0;
-    }
-    cur = next;
+  // Forward pass keeping each layer's (post-ReLU) output: acts[l] is the
+  // input of layer l + 1, and x, read in place, the input of layer 0.
+  const size_t num_layers = layers_.size();
+  std::vector<std::vector<double>> acts(num_layers);
+  for (size_t l = 0; l < num_layers; ++l) {
+    layers_[l].Forward(l == 0 ? x : acts[l - 1], &acts[l]);
+    if (l + 1 < num_layers) Relu(&acts[l]);
   }
-  assert(action >= 0 && static_cast<size_t>(action) < cur.size());
-  double err = cur[static_cast<size_t>(action)] - target;
+  const std::vector<double>& q = acts.back();
+  assert(action >= 0 && static_cast<size_t>(action) < q.size());
+  double err = q[static_cast<size_t>(action)] - target;
 
-  // Backward: dL/dq_a = 2 (q_a - y); zero elsewhere.
-  std::vector<double> grad(cur.size(), 0.0);
+  // Backward: dL/dq_a = 2 (q_a - y); zero elsewhere. The input gradient of
+  // layer 0 is never used, so it is not computed.
+  std::vector<double> grad(q.size(), 0.0);
   grad[static_cast<size_t>(action)] = 2.0 * err;
   std::vector<double> grad_in;
-  for (size_t l = layers_.size(); l-- > 0;) {
-    if (l + 1 < layers_.size()) {
+  for (size_t l = num_layers; l-- > 0;) {
+    if (l + 1 < num_layers) {
       // Undo ReLU: gradient flows only where the activation was positive.
-      // inputs[l + 1] is the post-ReLU output of layer l.
-      const std::vector<double>& act = inputs[l + 1];
+      const std::vector<double>& act = acts[l];
       for (size_t i = 0; i < grad.size(); ++i) {
         if (act[i] <= 0.0) grad[i] = 0.0;
       }
     }
-    layers_[l].Backward(inputs[l], grad, &grad_in);
-    grad = grad_in;
+    layers_[l].Backward(l == 0 ? x : acts[l - 1], grad, l == 0 ? nullptr : &grad_in);
+    grad.swap(grad_in);
   }
   grad_scale_pending_ += 1.0;
   return err * err;
