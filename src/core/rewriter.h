@@ -119,6 +119,8 @@ class MalivaRewriter : public Rewriter {
   const std::string& name() const override { return name_; }
   double default_tau_ms() const override { return renv_.env_config.tau_ms; }
   const RewriterEnv& renv() const { return renv_; }
+  /// The construction-time agent (the one served with the online plane off).
+  const QAgent& agent() const { return *agent_; }
 
   RewriteOutcome RewriteForSession(const Query& query, double tau_ms,
                                    RewriteSession& session) const override;

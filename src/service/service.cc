@@ -380,6 +380,11 @@ Result<const QAgent*> MalivaService::TrainedAgent(const std::string& cache_key,
     tc.seed = config_.trainer.seed + seed * 7919;
     Trainer trainer(renv, tc);
     std::unique_ptr<QAgent> agent = trainer.Train(scenario_->train);
+    // A single candidate is kept as is: validating it would choose nothing.
+    if (config_.num_agent_seeds == 1) {
+      best = std::move(agent);
+      break;
+    }
 
     // Hold-out validation: keep the best agent by validation VQP.
     size_t viable = 0;

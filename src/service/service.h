@@ -74,8 +74,9 @@ struct ServiceConfig {
   std::optional<QteParams> qte;
   /// Deep Q-learning hyper-parameters used when a strategy trains agents.
   TrainerConfig trainer;
-  /// Agents trained per strategy; the best on the validation workload is
-  /// kept (hold-out validation, Section 7.1).
+  /// Agents trained per strategy; with two or more, the best on the
+  /// validation workload is kept (hold-out validation, Section 7.1). A single
+  /// agent is kept without running the validation pass.
   size_t num_agent_seeds = 2;
   /// Bao's per-plan inference cost (virtual ms).
   double bao_per_plan_cost_ms = 10.0;
@@ -556,7 +557,8 @@ class MalivaService {
   const QualityOracle* quality_oracle() const { return state_.quality_oracle.get(); }
 
   /// Trains `num_agent_seeds` agents on the scenario's training split, keeps
-  /// the best by validation VQP, and caches it under `cache_key` (strategies
+  /// the best by validation VQP (validating only when there are two or more
+  /// to choose from), and caches it under `cache_key` (strategies
   /// sharing a key share the agent — e.g. "mdp/accurate" and the two-stage
   /// rewriter's exact stage). Builder-only: requires the build lock.
   Result<const QAgent*> TrainedAgent(const std::string& cache_key,

@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <span>
 
 #include "baselines/baseline.h"
+#include "core/query_env.h"
+#include "core/trainer.h"
 #include "service/service.h"
 
 namespace maliva {
@@ -329,6 +332,51 @@ TEST_F(ServiceTest, QteParamsResolveFromScenarioAndConfig) {
   // Either way the env wiring carries the resolved values.
   EXPECT_DOUBLE_EQ(overridden.MakeEnv(nullptr).qte_params.unit_cost_ms, 99.0);
 }
+
+TEST(ServiceTrainingTest, SingleSeedSkipsValidationAndMatchesBareTrainer) {
+  // With one agent seed there is nothing to choose between, so building
+  // mdp/accurate runs no hold-out validation episode: the scenario's oracle
+  // holds exactly the plans a bare Trainer::Train on the same split executes,
+  // and the served agent is that trainer's agent, bit for bit.
+  ScenarioConfig cfg;
+  cfg.kind = DatasetKind::kTwitter;
+  cfg.num_rows = 5000;
+  cfg.num_queries = 90;
+  cfg.seed = 83;
+  const ServiceConfig config = ServiceConfig().WithTrainerIterations(2).WithAgentSeeds(1);
+
+  Scenario served_scenario = BuildScenario(cfg);
+  ASSERT_FALSE(served_scenario.validation.empty());
+  MalivaService service(&served_scenario, config);
+  Result<const Rewriter*> built = service.GetRewriter("mdp/accurate");
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const auto* rewriter = dynamic_cast<const MalivaRewriter*>(built.value());
+  ASSERT_NE(rewriter, nullptr);
+
+  Scenario bare_scenario = BuildScenario(cfg);
+  MalivaService bare_service(&bare_scenario, config);
+  RewriterEnv renv = bare_service.MakeEnv(bare_service.accurate_qte());
+  Trainer trainer(renv, config.trainer);
+  std::unique_ptr<QAgent> bare = trainer.Train(bare_scenario.train);
+
+  EXPECT_GT(bare_scenario.oracle->CacheSize(), 0u);
+  EXPECT_EQ(served_scenario.oracle->CacheSize(), bare_scenario.oracle->CacheSize());
+
+  const QAgent& agent = rewriter->agent();
+  for (const Query* q : bare_scenario.validation) {
+    QteContext ctx = renv.MakeContext(*q);
+    QueryEnv env(&ctx, renv.qte, renv.env_config);
+    std::vector<double> features = env.Features();
+    std::vector<double> served = agent.QValues(features);
+    std::vector<double> trained = bare->QValues(features);
+    ASSERT_EQ(served.size(), trained.size());
+    for (size_t a = 0; a < served.size(); ++a) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(served[a]), std::bit_cast<uint64_t>(trained[a]))
+          << "query " << q->id << " action " << a;
+    }
+  }
+}
+
 
 }  // namespace
 }  // namespace maliva
