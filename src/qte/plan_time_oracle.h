@@ -23,7 +23,7 @@
 
 namespace maliva {
 
-/// Memoized Engine::Execute by (query id, rewrite option) identity.
+/// Memoized Engine::Execute by (query id, rewrite option) identity (RewriteKey).
 class PlanTimeOracle {
  public:
   explicit PlanTimeOracle(const Engine* engine) : engine_(engine) {}
@@ -40,8 +40,6 @@ class PlanTimeOracle {
   const Engine* engine() const { return engine_; }
 
  private:
-  static uint64_t Key(const Query& query, const RewriteOption& option);
-
   const Engine* engine_;
   mutable std::shared_mutex mutex_;
   mutable std::unordered_map<uint64_t, double> cache_;

@@ -1,7 +1,6 @@
 #include "quality/quality.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cmath>
 #include <mutex>
@@ -61,55 +60,36 @@ double VisQuality(const Query& query, const VisResult& exact, const VisResult& a
   return JaccardBins(exact, approx);
 }
 
-namespace {
-
-uint64_t OptionKey(const Query& query, const RewriteOption& option) {
-  uint64_t h = query.id * 0x9e3779b97f4a7c15ULL;
-  auto mix = [&h](uint64_t v) {
-    h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  };
-  mix(option.hints.index_mask.has_value() ? (*option.hints.index_mask + 1) : 0);
-  mix(static_cast<uint64_t>(option.hints.join_method));
-  mix(static_cast<uint64_t>(option.approx.kind));
-  mix(std::bit_cast<uint64_t>(option.approx.fraction));
-  return h;
-}
-
-}  // namespace
-
 double QualityOracle::Quality(const Query& query, const RewriteOption& option) const {
   if (!option.approx.IsApproximate()) return 1.0;
 
-  uint64_t key = OptionKey(query, option);
-  bool have_exact = false;
-  VisResult exact_vis;
+  uint64_t key = RewriteKey(query, option);
+  std::shared_ptr<const VisResult> exact;
   {
     std::shared_lock<std::shared_mutex> lock(mutex_);
     auto it = quality_cache_.find(key);
     if (it != quality_cache_.end()) return it->second;
     auto exact_it = exact_cache_.find(query.id);
-    if (exact_it != exact_cache_.end()) {
-      have_exact = true;
-      exact_vis = exact_it->second;
-    }
+    if (exact_it != exact_cache_.end()) exact = exact_it->second;
   }
 
   // Execute outside the lock: deterministic, so concurrent duplicates agree
   // and the losing emplace is a no-op.
+  const bool have_exact = exact != nullptr;
   if (!have_exact) {
     RewrittenQuery exact_rq{&query, RewriteOption{}};
-    Result<ExecResult> exact = engine_->Execute(exact_rq);
-    assert(exact.ok());
-    exact_vis = std::move(exact.value().vis);
+    Result<ExecResult> result = engine_->Execute(exact_rq);
+    assert(result.ok());
+    exact = std::make_shared<const VisResult>(std::move(result.value().vis));
   }
 
   RewrittenQuery rq{&query, option};
   Result<ExecResult> approx = engine_->Execute(rq);
   assert(approx.ok());
-  double q = VisQuality(query, exact_vis, approx.value().vis);
+  double q = VisQuality(query, *exact, approx.value().vis);
 
   std::unique_lock<std::shared_mutex> lock(mutex_);
-  if (!have_exact) exact_cache_.emplace(query.id, std::move(exact_vis));
+  if (!have_exact) exact_cache_.emplace(query.id, std::move(exact));
   quality_cache_.emplace(key, q);
   return q;
 }

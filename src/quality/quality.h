@@ -9,6 +9,7 @@
 #define MALIVA_QUALITY_QUALITY_H_
 
 #include <cstdint>
+#include <memory>
 #include <shared_mutex>
 #include <unordered_map>
 
@@ -50,8 +51,10 @@ class QualityOracle {
  private:
   const Engine* engine_;
   mutable std::shared_mutex mutex_;
-  mutable std::unordered_map<uint64_t, VisResult> exact_cache_;   // by query id
-  mutable std::unordered_map<uint64_t, double> quality_cache_;    // by (q, ro)
+  /// Exact results by query id, shared so a miss reads one without copying
+  /// it under the lock.
+  mutable std::unordered_map<uint64_t, std::shared_ptr<const VisResult>> exact_cache_;
+  mutable std::unordered_map<uint64_t, double> quality_cache_;  // by RewriteKey
 };
 
 }  // namespace maliva
