@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification sequence: docs check, configure, build, test.
 #
-# The service layer (src/service/) is held to -Wall -Wextra with warnings
-# treated as errors; the rest of the tree builds with default flags.
+# The service layer and the substrate it trains on (src/service/, src/engine/,
+# src/index/, src/ml/) are held to -Wall -Wextra with warnings treated as
+# errors; the rest of the tree builds with default flags.
 #
 #   scripts/ci.sh          # docs check + regular build + full test suite
 #   scripts/ci.sh --docs   # docs check only (no build): README/docs/DESIGN
@@ -83,7 +84,7 @@ if [[ "$docs_only" == 1 && "$run_tsan" == 0 && "$run_asan" == 0 && "$run_bench" 
   exit 0
 fi
 
-cmake -B build -S . -DMALIVA_SERVICE_WERROR=ON
+cmake -B build -S . -DMALIVA_WERROR=ON
 cmake --build build -j"$(nproc)"
 ctest --test-dir build --output-on-failure -j"$(nproc)"
 
