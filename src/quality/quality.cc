@@ -75,8 +75,7 @@ double QualityOracle::Quality(const Query& query, const RewriteOption& option) c
 
   // Execute outside the lock: deterministic, so concurrent duplicates agree
   // and the losing emplace is a no-op.
-  const bool have_exact = exact != nullptr;
-  if (!have_exact) {
+  if (exact == nullptr) {
     RewrittenQuery exact_rq{&query, RewriteOption{}};
     Result<ExecResult> result = engine_->Execute(exact_rq);
     assert(result.ok());
@@ -89,7 +88,7 @@ double QualityOracle::Quality(const Query& query, const RewriteOption& option) c
   double q = VisQuality(query, *exact, approx.value().vis);
 
   std::unique_lock<std::shared_mutex> lock(mutex_);
-  if (!have_exact) exact_cache_.emplace(query.id, std::move(exact));
+  exact_cache_.try_emplace(query.id, std::move(exact));
   quality_cache_.emplace(key, q);
   return q;
 }
