@@ -26,7 +26,8 @@ class LinearLayer {
   /// y = W x + b.
   void Forward(const std::vector<double>& x, std::vector<double>* y) const;
 
-  /// Accumulates parameter gradients for (x, grad_y) and writes grad_x.
+  /// Accumulates parameter gradients for (x, grad_y) and writes grad_x
+  /// (skipped when `grad_x` is null).
   void Backward(const std::vector<double>& x, const std::vector<double>& grad_y,
                 std::vector<double>* grad_x);
 
