@@ -153,6 +153,9 @@ class TwoStageRewriter : public Rewriter {
 
   const std::string& name() const override { return name_; }
   double default_tau_ms() const override { return exact_.env_config.tau_ms; }
+  /// The second stage's env and agent (the first stage's are "mdp/accurate"'s).
+  const RewriterEnv& approx_renv() const { return approx_; }
+  const QAgent& approx_agent() const { return *approx_agent_; }
 
   RewriteOutcome RewriteForSession(const Query& query, double tau_ms,
                                    RewriteSession& session) const override;

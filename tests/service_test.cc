@@ -333,6 +333,23 @@ TEST_F(ServiceTest, QteParamsResolveFromScenarioAndConfig) {
   EXPECT_DOUBLE_EQ(overridden.MakeEnv(nullptr).qte_params.unit_cost_ms, 99.0);
 }
 
+/// Asserts `a` and `b` give bit-equal Q-values on each query's initial state.
+void ExpectBitEqualQValues(const RewriterEnv& renv, const QAgent& a, const QAgent& b,
+                           const std::vector<const Query*>& queries) {
+  for (const Query* q : queries) {
+    QteContext ctx = renv.MakeContext(*q);
+    QueryEnv env(&ctx, renv.qte, renv.env_config);
+    std::vector<double> features = env.Features();
+    std::vector<double> qa = a.QValues(features);
+    std::vector<double> qb = b.QValues(features);
+    ASSERT_EQ(qa.size(), qb.size());
+    for (size_t i = 0; i < qa.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(qa[i]), std::bit_cast<uint64_t>(qb[i]))
+          << "query " << q->id << " action " << i;
+    }
+  }
+}
+
 TEST(ServiceTrainingTest, SingleSeedSkipsValidationAndMatchesBareTrainer) {
   // With one agent seed there is nothing to choose between, so building
   // mdp/accurate runs no hold-out validation episode: the scenario's oracle
@@ -362,18 +379,58 @@ TEST(ServiceTrainingTest, SingleSeedSkipsValidationAndMatchesBareTrainer) {
   EXPECT_GT(bare_scenario.oracle->CacheSize(), 0u);
   EXPECT_EQ(served_scenario.oracle->CacheSize(), bare_scenario.oracle->CacheSize());
 
-  const QAgent& agent = rewriter->agent();
-  for (const Query* q : bare_scenario.validation) {
-    QteContext ctx = renv.MakeContext(*q);
-    QueryEnv env(&ctx, renv.qte, renv.env_config);
-    std::vector<double> features = env.Features();
-    std::vector<double> served = agent.QValues(features);
-    std::vector<double> trained = bare->QValues(features);
-    ASSERT_EQ(served.size(), trained.size());
-    for (size_t a = 0; a < served.size(); ++a) {
-      EXPECT_EQ(std::bit_cast<uint64_t>(served[a]), std::bit_cast<uint64_t>(trained[a]))
-          << "query " << q->id << " action " << a;
+  ExpectBitEqualQValues(renv, rewriter->agent(), *bare, bare_scenario.validation);
+}
+
+TEST(ServiceTrainingTest, ParallelPrefillMatchesSequentialBuild) {
+  // Ground-truth execution is deterministic and the DQN loop draws the same
+  // RNG sequence whatever the oracle memo already holds, so a four-thread
+  // service trains every agent bit-identically to a one-thread one, and the
+  // one-thread service executes exactly the plans a bare Trainer::Train does.
+  ScenarioConfig cfg;
+  cfg.kind = DatasetKind::kTpch;
+  cfg.num_rows = 5000;
+  cfg.num_queries = 60;
+  cfg.seed = 47;
+  cfg.approx_sample_rates = {0.2, 0.4};
+  const ServiceConfig config =
+      ServiceConfig().WithTrainerIterations(2).WithAgentSeeds(1).WithApproxRules(
+          {{ApproxKind::kSampleTable, 0.2}, {ApproxKind::kSampleTable, 0.4}});
+
+  Scenario sequential_scenario = BuildScenario(cfg);
+  Scenario parallel_scenario = BuildScenario(cfg);
+  ASSERT_FALSE(sequential_scenario.validation.empty());
+  MalivaService sequential(&sequential_scenario, ServiceConfig(config).WithNumThreads(1));
+  MalivaService parallel(&parallel_scenario, ServiceConfig(config).WithNumThreads(4));
+
+  Result<const Rewriter*> built = sequential.GetRewriter("mdp/accurate");
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  Scenario bare_scenario = BuildScenario(cfg);
+  MalivaService bare_service(&bare_scenario, config);
+  Trainer trainer(bare_service.MakeEnv(bare_service.accurate_qte()), config.trainer);
+  trainer.Train(bare_scenario.train);
+  EXPECT_GT(bare_scenario.oracle->CacheSize(), 0u);
+  EXPECT_EQ(sequential_scenario.oracle->CacheSize(), bare_scenario.oracle->CacheSize());
+
+  for (const char* name : {"mdp/accurate", "mdp/sampling", "quality/two-stage"}) {
+    SCOPED_TRACE(name);
+    Result<const Rewriter*> seq = sequential.GetRewriter(name);
+    Result<const Rewriter*> par = parallel.GetRewriter(name);
+    ASSERT_TRUE(seq.ok()) << seq.status().ToString();
+    ASSERT_TRUE(par.ok()) << par.status().ToString();
+    if (const auto* two_stage = dynamic_cast<const TwoStageRewriter*>(seq.value())) {
+      const auto* other = dynamic_cast<const TwoStageRewriter*>(par.value());
+      ASSERT_NE(other, nullptr);
+      ExpectBitEqualQValues(two_stage->approx_renv(), two_stage->approx_agent(),
+                            other->approx_agent(), sequential_scenario.validation);
+      continue;
     }
+    const auto* seq_agent = dynamic_cast<const MalivaRewriter*>(seq.value());
+    const auto* par_agent = dynamic_cast<const MalivaRewriter*>(par.value());
+    ASSERT_NE(seq_agent, nullptr);
+    ASSERT_NE(par_agent, nullptr);
+    ExpectBitEqualQValues(seq_agent->renv(), seq_agent->agent(), par_agent->agent(),
+                          sequential_scenario.validation);
   }
 }
 
