@@ -372,6 +372,7 @@ Result<const QAgent*> MalivaService::TrainedAgent(const std::string& cache_key,
         "cannot train agent \"" + cache_key + "\": scenario has no training split");
   }
 
+  PrefillTrueTimes(renv, scenario_->train);
   std::unique_ptr<QAgent> best;
   double best_vqp = -1.0;
   const std::vector<const Query*>& validation = scenario_->validation;
@@ -418,6 +419,7 @@ Result<const BaoQte*> MalivaService::TrainedBaoQte() {
       return Status::FailedPrecondition(
           "cannot train Bao's QTE: scenario has no training split");
     }
+    PrefillTrueTimes(MakeEnv(nullptr), scenario_->train);
     BaoTrainer trainer(scenario_->engine.get(), scenario_->oracle.get(),
                        &scenario_->options);
     state_.bao_qte = trainer.Train(scenario_->train, scenario_->config.seed ^ 0x62616f);
@@ -953,6 +955,16 @@ ThreadPool& MalivaService::Pool() const {
   return *pool_;
 }
 
+void MalivaService::PrefillTrueTimes(const RewriterEnv& renv,
+                                     const std::vector<const Query*>& queries) const {
+  if (ResolvedNumThreads() <= 1) return;
+  ThreadPool::Shared().ParallelFor(queries.size(), [&renv, &queries](size_t i) {
+    for (const RewriteOption& option : *renv.options) {
+      renv.oracle->TrueTimeMs(*queries[i], option);
+    }
+  });
+}
+
 std::vector<Result<RewriteResponse>> MalivaService::ServeBatch(
     std::span<const RewriteRequest> requests) const {
   // Build phase first: warm every strategy the batch needs, in
@@ -1039,6 +1051,7 @@ std::unique_ptr<QAgent> MalivaService::TrainAgentOn(
   RewriterEnv renv = MakeEnv(state_.accurate_qte.get());
   TrainerConfig tc = config_.trainer;
   tc.seed = seed;
+  PrefillTrueTimes(renv, workload);
   Trainer trainer(renv, tc);
   std::unique_ptr<QAgent> agent = trainer.Train(workload);
   if (history != nullptr) *history = trainer.history();

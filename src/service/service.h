@@ -88,7 +88,10 @@ struct ServiceConfig {
   /// Strategy served when a request does not name one.
   std::string default_strategy = "mdp/accurate";
   /// Worker threads for ServeBatch. 0 = hardware concurrency; 1 = the
-  /// sequential path. Results are byte-identical at every thread count.
+  /// sequential path. Above 1 it also lets strategy builds execute the
+  /// training split's ground truth in parallel on the process-wide
+  /// ThreadPool::Shared() before training; 1 spawns no thread at all.
+  /// Results and trained agents are byte-identical at every thread count.
   /// Validate() rejects values above kMaxNumThreads (catches unsigned
   /// wrap-arounds like size_t(-1)).
   size_t num_threads = 0;
@@ -624,6 +627,14 @@ class MalivaService {
   /// The batch worker pool, created once on the first parallel ServeBatch
   /// (so purely sequential services never spawn threads).
   ThreadPool& Pool() const;
+
+  /// Runs renv.oracle->TrueTimeMs for every pair of `queries` x
+  /// `*renv.options` on ThreadPool::Shared(), so the sequential training
+  /// loop that follows reads its ground truth from the memo. Does nothing
+  /// when ResolvedNumThreads() is 1. Execution is deterministic, so the
+  /// trained agents do not depend on whether this ran.
+  void PrefillTrueTimes(const RewriterEnv& renv,
+                        const std::vector<const Query*>& queries) const;
 
   Scenario* scenario_;
   const ServiceConfig config_;

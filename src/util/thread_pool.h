@@ -1,9 +1,10 @@
-// Minimal fixed-size thread pool for the serving path.
+// Minimal fixed-size thread pool for the serving path and offline training.
 //
 // MalivaService::ServeBatch fans requests out over a pool of workers; each
 // request is independent (per-request RewriteSession, shared-immutable
 // ServingState), so the pool needs no futures or task graphs — just Submit
-// and a blocking ParallelFor. Header-only; links against std::thread
+// and a blocking ParallelFor. The training prefill runs on the one
+// process-wide Shared() pool. Header-only; links against std::thread
 // (Threads::Threads in CMake).
 
 #ifndef MALIVA_UTIL_THREAD_POOL_H_
@@ -52,6 +53,16 @@ class ThreadPool {
   static size_t DefaultThreads() {
     unsigned n = std::thread::hardware_concurrency();
     return n == 0 ? 1 : static_cast<size_t>(n);
+  }
+
+  /// The process-wide pool (DefaultThreads() workers, created on first use)
+  /// for offline work every service shares, such as the training prefill.
+  /// One pool rather than one per service or per call: glibc gives each
+  /// allocating thread its own malloc arena, and every extra set of workers
+  /// keeps its arenas resident (DESIGN.md "Training prefill").
+  static ThreadPool& Shared() {
+    static ThreadPool pool(DefaultThreads());
+    return pool;
   }
 
   /// Enqueues one task. Tasks must not throw.
