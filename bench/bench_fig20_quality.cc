@@ -26,8 +26,9 @@ int main() {
                                    {ApproxKind::kLimit, 0.04},
                                    {ApproxKind::kLimit, 0.2}};
 
-  MalivaService service(
-      &s, DefaultServiceConfig().WithBeta(0.5).WithApproxRules(rules));
+  ServiceConfig config = DefaultServiceConfig().WithApproxRules(rules);
+  config.beta = 0.5;
+  MalivaService service(&s, config);
   std::vector<Approach> approaches = ApproachesFor(
       service,
       {"baseline", "mdp/accurate", "quality/two-stage", "quality/one-stage"});

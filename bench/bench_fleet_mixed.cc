@@ -96,11 +96,10 @@ ServiceConfig ShardServiceConfig() {
 }
 
 FleetConfig MakeFleetConfig(size_t threads) {
-  return FleetConfig()
-      .WithDefaults(ShardServiceConfig())
-      .WithNumThreads(threads)
-      .WithWarmupThreads(2)
-      .WithWarmupStrategies({"mdp/accurate", "naive", "baseline"});
+  FleetConfig config =
+      FleetConfig().WithDefaults(ShardServiceConfig()).WithNumThreads(threads).WithWarmupThreads(2);
+  config.warmup_strategies = {"mdp/accurate", "naive", "baseline"};
+  return config;
 }
 
 Status RegisterAll(MalivaFleet& fleet, std::vector<NamedScenario>& scenarios) {
@@ -182,7 +181,9 @@ int RunMixedThroughput(std::vector<NamedScenario>& scenarios) {
         fleet_slice.push_back(&reference[i]);
       }
     }
-    MalivaService standalone(&named.scenario, ShardServiceConfig().WithNumThreads(4));
+    ServiceConfig standalone_config = ShardServiceConfig();
+    standalone_config.num_threads = 4;
+    MalivaService standalone(&named.scenario, standalone_config);
     if (!standalone.Warmup({"mdp/accurate", "naive", "baseline"}).ok()) return 1;
     std::vector<Result<RewriteResponse>> expected = standalone.ServeBatch(slice);
     for (size_t i = 0; i < slice.size(); ++i) {
@@ -208,9 +209,10 @@ int RunIsolation(std::vector<NamedScenario>& scenarios) {
   for (NamedScenario& named : scenarios) {
     Status st = fleet.RegisterScenario(
         named.id, &named.scenario, [&named](ServiceConfig& config) {
-          config.WithCrossRequestCache(true);
+          config.cross_request_cache = true;
           if (std::string(named.id) == "twitter") {
-            config.WithOnlineLearning(true).WithOnlineTrainerThreads(0);
+            config.online_learning = true;
+            config.online_trainer_threads = 0;
           }
         });
     if (!st.ok()) {

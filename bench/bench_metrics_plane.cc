@@ -69,10 +69,8 @@ int Run(const MetricsBenchOptions& opts) {
   Scenario tpch = BuildScenario(tpch_cfg);
 
   // Cheap shards: the plane under test is instrumentation, not planning.
-  const ServiceConfig shard_cfg = ServiceConfig()
-                                      .WithTrainerIterations(3)
-                                      .WithAgentSeeds(1)
-                                      .WithDefaultStrategy("baseline");
+  ServiceConfig shard_cfg = ServiceConfig().WithTrainerIterations(3).WithAgentSeeds(1);
+  shard_cfg.default_strategy = "baseline";
 
   // ---- Phase 0: hot-path probe ------------------------------------------
   PrintBanner("Phase 0 — serve throughput and registry lookups");
@@ -111,10 +109,10 @@ int Run(const MetricsBenchOptions& opts) {
   uint64_t stats_requests = 0;
   size_t windows = 0;
   {
-    MalivaFleet fleet(FleetConfig()
-                          .WithDefaults(shard_cfg)
-                          .WithWarmupStrategies({"baseline"})
-                          .WithMetricsFlushMs(600000));  // manual FlushNow
+    FleetConfig fleet_cfg = FleetConfig().WithDefaults(shard_cfg);
+    fleet_cfg.warmup_strategies = {"baseline"};
+    fleet_cfg.metrics_flush_ms = 600000;  // manual FlushNow
+    MalivaFleet fleet(fleet_cfg);
     if (!fleet.RegisterScenario("twitter", &twitter).ok()) return 1;
     if (!fleet.RegisterScenario("tpch", &tpch).ok()) return 1;
     fleet.WaitWarmups();
@@ -158,10 +156,10 @@ int Run(const MetricsBenchOptions& opts) {
   size_t ring_retained = 0;
   size_t jsonl_bytes = 0;
   {
-    MalivaFleet fleet(FleetConfig()
-                          .WithDefaults(shard_cfg)
-                          .WithWarmupStrategies({"baseline"})
-                          .WithTraceRingCapacity(kRingCapacity));
+    FleetConfig fleet_cfg = FleetConfig().WithDefaults(shard_cfg);
+    fleet_cfg.warmup_strategies = {"baseline"};
+    fleet_cfg.trace_ring_capacity = kRingCapacity;
+    MalivaFleet fleet(fleet_cfg);
     if (!fleet.RegisterScenario("twitter", &twitter).ok()) return 1;
     fleet.WaitWarmups();
     std::vector<RewriteRequest> requests =

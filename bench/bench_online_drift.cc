@@ -91,16 +91,16 @@ int Run() {
   const Table& tweets = *scenario.engine->FindEntry("tweets")->table;
   std::vector<Query> drift_pool = GenerateQueries(tweets, nullptr, drift_gen);
 
-  ServiceConfig base = ServiceConfig()
-                           .WithTrainerIterations(12)
-                           .WithAgentSeeds(1)
-                           .WithNumThreads(1);
+  ServiceConfig base = ServiceConfig().WithTrainerIterations(12).WithAgentSeeds(1);
+  base.num_threads = 1;
+  ServiceConfig online_config = base;
+  online_config.online_learning = true;
+  online_config.online_gradient_steps = 48;
+  online_config.online_learning_rate = 2e-4;
+  online_config.online_gate_tolerance = 0.3;
+  online_config.online_trainer_threads = 0;
   MalivaService frozen(&scenario, base);
-  MalivaService online(&scenario, base.WithOnlineLearning(true)
-                                      .WithOnlineGradientSteps(48)
-                                      .WithOnlineLearningRate(2e-4)
-                                      .WithOnlineGateTolerance(0.3)
-                                      .WithOnlineTrainerThreads(0));
+  MalivaService online(&scenario, online_config);
   if (!frozen.Warmup({"mdp/accurate"}).ok()) return 1;
   if (!online.Warmup({"mdp/accurate"}).ok()) return 1;
   const std::string agent_key = "agent/exact-accurate";

@@ -51,11 +51,10 @@ ServiceConfig ShardServiceConfig() {
 }
 
 FleetConfig BaseFleetConfig(size_t threads) {
-  return FleetConfig()
-      .WithDefaults(ShardServiceConfig())
-      .WithNumThreads(threads)
-      .WithWarmupThreads(2)
-      .WithWarmupStrategies({"mdp/accurate", "baseline"});
+  FleetConfig config =
+      FleetConfig().WithDefaults(ShardServiceConfig()).WithNumThreads(threads).WithWarmupThreads(2);
+  config.warmup_strategies = {"mdp/accurate", "baseline"};
+  return config;
 }
 
 std::vector<RewriteRequest> MakeRequests(const Scenario& scenario, size_t n) {
@@ -278,13 +277,12 @@ int Run(const OverloadOptions& opts) {
   // overflow shed point, exactly where it would sit with real rewrite
   // costs. Sheds still come from genuine queue overflow and the latency
   // check below is on really-measured wall time.
-  AdmissionConfig admission = AdmissionConfig()
-                                  .WithEnabled(true)
-                                  .WithSlackFactor(slack_factor)
-                                  .WithDegradeStrategy("baseline")
-                                  .WithMaxQueue(kMaxQueue)
-                                  .WithInitialServeEstimateMs(budget_ms / 9.0)
-                                  .WithServeEstimateAlpha(0.0005);
+  const AdmissionConfig admission{.enabled = true,
+                                  .slack_factor = slack_factor,
+                                  .degrade_strategy = "baseline",
+                                  .max_queue = kMaxQueue,
+                                  .initial_serve_estimate_ms = budget_ms / 9.0,
+                                  .serve_estimate_alpha = 0.0005};
   MalivaFleet fleet(BaseFleetConfig(kThreads).WithAdmission(admission));
   if (!fleet.RegisterScenario("twitter", &scenario).ok()) return 1;
   fleet.WaitWarmups();

@@ -177,11 +177,9 @@ int Run(const ReplayBenchOptions& opts) {
   Scenario tpch = BuildScenario(tpch_cfg);
 
   ServiceConfig shard_cfg = ServiceConfig().WithTrainerIterations(8).WithAgentSeeds(1);
-  FleetConfig base_cfg = FleetConfig()
-                             .WithDefaults(shard_cfg)
-                             .WithNumThreads(kThreads)
-                             .WithWarmupThreads(2)
-                             .WithWarmupStrategies({"mdp/accurate", "baseline"});
+  FleetConfig base_cfg =
+      FleetConfig().WithDefaults(shard_cfg).WithNumThreads(kThreads).WithWarmupThreads(2);
+  base_cfg.warmup_strategies = {"mdp/accurate", "baseline"};
 
   double capacity_qps = 0.0;
   {
@@ -222,13 +220,12 @@ int Run(const ReplayBenchOptions& opts) {
   const double budget_ms = std::max(25.0, 8.0 * serve_slot_ms);
   const double tau_ms = twitter_cfg.tau_ms;
   const double slack_factor = budget_ms / tau_ms;
-  AdmissionConfig admission = AdmissionConfig()
-                                  .WithEnabled(true)
-                                  .WithSlackFactor(slack_factor)
-                                  .WithDegradeStrategy("baseline")
-                                  .WithMaxQueue(kMaxQueue)
-                                  .WithInitialServeEstimateMs(budget_ms / 9.0)
-                                  .WithServeEstimateAlpha(0.0005);
+  const AdmissionConfig admission{.enabled = true,
+                                  .slack_factor = slack_factor,
+                                  .degrade_strategy = "baseline",
+                                  .max_queue = kMaxQueue,
+                                  .initial_serve_estimate_ms = budget_ms / 9.0,
+                                  .serve_estimate_alpha = 0.0005};
 
   // ---- Phase 2: open-loop load phases -----------------------------------
   PrintBanner("Phase 2 — open-loop replay: steady / 2x overload / flash burst");
@@ -256,10 +253,10 @@ int Run(const ReplayBenchOptions& opts) {
     // watchdog ride along (ISSUE 10): the load phases are exactly the burn
     // signal the watchdog exists to flag.
     FleetConfig gated_cfg = FleetConfig(base_cfg).WithAdmission(admission);
-    gated_cfg.WithMetricsFlushMs(600000)  // flushed manually after the replay
-        .WithSloWatchdog(true)
-        .WithSloTargetHitRate(0.9)
-        .WithSloMinRequests(32);
+    gated_cfg.metrics_flush_ms = 600000;  // flushed manually after the replay
+    gated_cfg.slo_watchdog = true;
+    gated_cfg.slo_target_hit_rate = 0.9;
+    gated_cfg.slo_min_requests = 32;
     MalivaFleet gated(gated_cfg);
     if (!gated.RegisterScenario("twitter", &twitter).ok()) return 1;
     if (!gated.RegisterScenario("tpch", &tpch).ok()) return 1;

@@ -294,7 +294,9 @@ int Run(const CacheBenchOptions& opts) {
     // the in-batch dedup pre-pass is deterministic — exactly one search,
     // 63 replays.
     {
-      MalivaService service(&scenario, CacheServiceConfig(true).WithNumThreads(8));
+      ServiceConfig config = CacheServiceConfig(true);
+      config.num_threads = 8;
+      MalivaService service(&scenario, config);
       if (!service.Warmup({"naive"}).ok()) return 1;
       std::vector<RewriteRequest> copies(kBatchCopies);
       for (RewriteRequest& req : copies) req.query = scenario.evaluation[1];

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "qte/selectivity_tier.h"
 #include "service/service.h"
 
 namespace maliva {
@@ -123,8 +124,8 @@ ServiceConfig TierServiceConfig(bool histograms, bool shared_store) {
   ServiceConfig config;
   config.default_strategy = "naive";  // sampling QTE, estimates every option
   config.num_threads = 1;             // isolate per-request cost
-  config.WithHistogramSelectivity(histograms);
-  if (shared_store) config.WithCrossRequestCache(true);
+  config.histogram_selectivity = histograms;
+  config.cross_request_cache = shared_store;
   return config;
 }
 
@@ -212,7 +213,7 @@ int Run(const TierOptions& opts) {
   PrintBanner("Phase 2 — histogram accuracy vs TrueSelectivity");
   double mean_abs_rel_error = 0.0;
   size_t error_samples = 0;
-  const double kErrorThreshold = ServiceConfig().max_histogram_rel_error;
+  const double kErrorThreshold = SelectivityTierConfig{}.max_rel_error;
   {
     Scenario scenario = BuildColdScenario(kRows, kQueries, kSeed);
     const Engine& engine = *scenario.engine;

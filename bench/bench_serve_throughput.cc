@@ -81,10 +81,9 @@ int RunKnowledgePlane(Scenario& scenario) {
   // PlanTimeOracle memo so the timed passes below differ only in
   // selectivity-collection work.
   {
-    MalivaService warmer(&scenario, ServiceConfig()
-                                        .WithTrainerIterations(8)
-                                        .WithAgentSeeds(1)
-                                        .WithNumThreads(4));
+    ServiceConfig warmer_config = ServiceConfig().WithTrainerIterations(8).WithAgentSeeds(1);
+    warmer_config.num_threads = 4;
+    MalivaService warmer(&scenario, warmer_config);
     if (!warmer.Warmup({"mdp/accurate"}).ok()) return 1;
     (void)warmer.ServeBatch(requests);
   }
@@ -118,14 +117,14 @@ int RunKnowledgePlane(Scenario& scenario) {
               "QPS", "collected/req", "shared-hit ratio");
   const size_t thread_counts[] = {1, 4, 8};
   for (size_t threads : thread_counts) {
-    ServiceConfig base = ServiceConfig()
-                             .WithTrainerIterations(8)
-                             .WithAgentSeeds(1)
-                             .WithNumThreads(threads);
+    ServiceConfig base = ServiceConfig().WithTrainerIterations(8).WithAgentSeeds(1);
+    base.num_threads = threads;
+    ServiceConfig with_store = base;
+    with_store.cross_request_cache = true;
     // "off" row: today's per-request amortization only — every request
     // re-collects its slots, the reference the knowledge plane improves on.
     MalivaService off(&scenario, base);
-    MalivaService on(&scenario, base.WithCrossRequestCache(true));
+    MalivaService on(&scenario, with_store);
     if (!off.Warmup({"mdp/accurate"}).ok()) return 1;
     if (!on.Warmup({"mdp/accurate"}).ok()) return 1;
 
@@ -170,10 +169,9 @@ int Run() {
   std::printf("%-12s %-12s %-12s %-12s %s\n", "threads", "batch", "seconds",
               "QPS", "byte-identical");
   for (size_t threads : thread_counts) {
-    MalivaService service(&scenario, ServiceConfig()
-                                         .WithTrainerIterations(8)
-                                         .WithAgentSeeds(1)
-                                         .WithNumThreads(threads));
+    ServiceConfig config = ServiceConfig().WithTrainerIterations(8).WithAgentSeeds(1);
+    config.num_threads = threads;
+    MalivaService service(&scenario, config);
     Status warm = service.Warmup(
         {"mdp/accurate", "mdp/sampling", "naive", "baseline", "bao"});
     if (!warm.ok()) {

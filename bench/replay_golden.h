@@ -91,15 +91,14 @@ inline FleetConfig GoldenFleetConfig(size_t threads, bool admission) {
   FleetConfig cfg = FleetConfig()
                         .WithDefaults(GoldenServiceConfig())
                         .WithNumThreads(threads)
-                        .WithWarmupThreads(2)
-                        .WithWarmupStrategies({"mdp/accurate", "baseline"});
+                        .WithWarmupThreads(2);
+  cfg.warmup_strategies = {"mdp/accurate", "baseline"};
   if (admission) {
-    cfg.WithAdmission(AdmissionConfig()
-                          .WithEnabled(true)
-                          .WithSlackFactor(1.0e6)
-                          .WithMaxQueue(1 << 16)
-                          .WithInitialServeEstimateMs(0.01)
-                          .WithServeEstimateAlpha(0.0005));
+    cfg.admission = {.enabled = true,
+                     .slack_factor = 1.0e6,
+                     .max_queue = 1 << 16,
+                     .initial_serve_estimate_ms = 0.01,
+                     .serve_estimate_alpha = 0.0005};
   }
   return cfg;
 }

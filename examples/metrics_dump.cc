@@ -29,18 +29,14 @@ int main() {
   // The opt-in half of the observability plane in one config: a background
   // windowed flusher over the per-shard registries, the trace-event ring,
   // and the SLO watchdog over the admission gate's verdicts.
-  MalivaFleet fleet(FleetConfig()
-                        .WithDefaults(ServiceConfig()
-                                          .WithTrainerIterations(20)
-                                          .WithAgentSeeds(1))
-                        .WithWarmupStrategies({"mdp/accurate", "baseline"})
-                        .WithAdmission(AdmissionConfig()
-                                           .WithEnabled(true)
-                                           .WithSlackFactor(50.0))
-                        .WithMetricsFlushMs(1000)
-                        .WithTraceRingCapacity(256)
-                        .WithSloWatchdog(true)
-                        .WithSloMinRequests(8));
+  MalivaFleet fleet(FleetConfig{
+      .defaults = ServiceConfig().WithTrainerIterations(20).WithAgentSeeds(1),
+      .warmup_strategies = {"mdp/accurate", "baseline"},
+      .admission = {.enabled = true, .slack_factor = 50.0},
+      .metrics_flush_ms = 1000,
+      .trace_ring_capacity = 256,
+      .slo_watchdog = true,
+      .slo_min_requests = 8});
   if (Status st = fleet.RegisterScenario("tweets", &scenario); !st.ok()) {
     std::printf("register failed: %s\n", st.ToString().c_str());
     return 1;

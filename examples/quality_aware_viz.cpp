@@ -42,11 +42,10 @@ int main() {
                                    {ApproxKind::kLimit, 0.008},
                                    {ApproxKind::kLimit, 0.04},
                                    {ApproxKind::kLimit, 0.2}};
-  MalivaService service(&scenario, ServiceConfig()
-                                       .WithTrainerIterations(20)
-                                       .WithAgentSeeds(1)
-                                       .WithBeta(0.5)  // Eq 2: equal weight
-                                       .WithApproxRules(rules));
+  ServiceConfig config =
+      ServiceConfig().WithTrainerIterations(20).WithAgentSeeds(1).WithApproxRules(rules);
+  config.beta = 0.5;  // Eq 2: equal weight
+  MalivaService service(&scenario, config);
 
   // Focus on the queries no exact plan can serve.
   BucketedWorkload bw = BucketQueries(*scenario.oracle, scenario.evaluation,

@@ -32,11 +32,9 @@ int main() {
   //    (agents train off the serving path, Algorithm 1); WaitWarmups makes
   //    this walkthrough deterministic, but serving would work without it —
   //    cold strategies build lazily on first use.
-  MalivaFleet fleet(FleetConfig()
-                        .WithDefaults(ServiceConfig()
-                                          .WithTrainerIterations(20)
-                                          .WithAgentSeeds(1))
-                        .WithWarmupStrategies({"mdp/accurate", "baseline"}));
+  MalivaFleet fleet(FleetConfig{
+      .defaults = ServiceConfig().WithTrainerIterations(20).WithAgentSeeds(1),
+      .warmup_strategies = {"mdp/accurate", "baseline"}});
   if (Status st = fleet.RegisterScenario("tweets", &scenario); !st.ok()) {
     std::printf("register failed: %s\n", st.ToString().c_str());
     return 1;

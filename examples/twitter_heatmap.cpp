@@ -51,10 +51,9 @@ int main() {
 
   // The sampling QTE keeps planning fully online (no offline selectivity
   // collection), which suits a dashboard backend.
-  MalivaService service(&scenario, ServiceConfig()
-                                       .WithTrainerIterations(20)
-                                       .WithAgentSeeds(1)
-                                       .WithDefaultStrategy("mdp/sampling"));
+  ServiceConfig config = ServiceConfig().WithTrainerIterations(20).WithAgentSeeds(1);
+  config.default_strategy = "mdp/sampling";
+  MalivaService service(&scenario, config);
 
   std::vector<Query> session = MakeSession(scenario, 40);
   std::printf("Serving a %zu-step dashboard session (budget 500ms/request)...\n\n",

@@ -159,7 +159,7 @@ Status Engine::RegisterTable(std::unique_ptr<Table> table,
     entry.hashes[col_name] = std::make_unique<HashIndex>(*entry.table, col_name);
   }
   entry.stats = std::make_unique<TableStats>(*entry.table, TableStats::Options{});
-  entry.histograms = std::make_unique<TableHistograms>(*entry.table, histogram_options_);
+  entry.histograms = std::make_unique<TableHistograms>(*entry.table, HistogramOptions{});
   catalog_.emplace(std::move(name), std::move(entry));
   // Stats ground truth changed: stale cross-request knowledge. Release pairs
   // with the acquire in catalog_version() so readers that observe the bump
@@ -361,20 +361,6 @@ Result<double> Engine::HistogramSelectivity(const std::string& table,
     return Status::NotFound("no histogram covers column '" + pred.column + "'");
   }
   return *est;
-}
-
-void Engine::ConfigureHistograms(const HistogramOptions& options) {
-  if (options.buckets == histogram_options_.buckets &&
-      options.grid_cells == histogram_options_.grid_cells) {
-    return;
-  }
-  histogram_options_ = options;
-  for (auto& [name, entry] : catalog_) {
-    entry.histograms = std::make_unique<TableHistograms>(*entry.table, histogram_options_);
-  }
-  // Statistics ground truth changed resolution: stale epochs must not be
-  // served (same release/acquire pairing as RegisterTable).
-  catalog_version_.fetch_add(1, std::memory_order_release);
 }
 
 double Engine::EstimateOutputCardinality(const Query& q) const {

@@ -109,14 +109,6 @@ class Engine {
   Result<double> HistogramSelectivity(const std::string& table, const Predicate& pred,
                                       uint64_t epoch) const;
 
-  /// Replaces the histogram resolution and rebuilds every registered table's
-  /// histograms (a stats refresh: bumps catalog_version()). No-op when the
-  /// options already match. Build-phase only — like RegisterTable, this must
-  /// not race with queries executing against the catalog.
-  void ConfigureHistograms(const HistogramOptions& options);
-
-  const HistogramOptions& histogram_options() const { return histogram_options_; }
-
   /// Estimated (optimizer-stats) result cardinality of `q` in *actual* rows,
   /// used to translate LIMIT fractions into row counts.
   double EstimateOutputCardinality(const Query& q) const;
@@ -153,7 +145,6 @@ class Engine {
   CostModel cost_model_;
   CostModel planner_cost_model_;
   uint64_t seed_;
-  HistogramOptions histogram_options_;
   std::atomic<uint64_t> catalog_version_{0};
   std::unordered_map<std::string, TableEntry> catalog_;
   std::unique_ptr<Optimizer> optimizer_;

@@ -3,6 +3,8 @@
 #include <cassert>
 #include <mutex>
 
+#include "util/thread_pool.h"
+
 namespace maliva {
 
 double PlanTimeOracle::TrueTimeMs(const Query& query, const RewriteOption& option) const {
@@ -21,6 +23,14 @@ double PlanTimeOracle::TrueTimeMs(const Query& query, const RewriteOption& optio
   std::unique_lock<std::shared_mutex> lock(mutex_);
   cache_.emplace(key, ms);
   return ms;
+}
+
+void PrefillTrueTimes(const PlanTimeOracle& oracle,
+                      const std::vector<const Query*>& queries,
+                      const RewriteOptionSet& options) {
+  ThreadPool::Shared().ParallelFor(queries.size(), [&](size_t i) {
+    for (const RewriteOption& option : options) oracle.TrueTimeMs(*queries[i], option);
+  });
 }
 
 }  // namespace maliva

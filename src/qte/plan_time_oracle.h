@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <shared_mutex>
 #include <unordered_map>
+#include <vector>
 
 #include "engine/engine.h"
 #include "query/rewritten_query.h"
@@ -44,6 +45,14 @@ class PlanTimeOracle {
   mutable std::shared_mutex mutex_;
   mutable std::unordered_map<uint64_t, double> cache_;
 };
+
+/// Runs oracle.TrueTimeMs for every pair of `queries` x `options` on
+/// ThreadPool::Shared(), so a sequential loop that follows (training,
+/// difficulty bucketing) reads its ground truth from the memo. Execution is
+/// deterministic, so nothing downstream depends on whether this ran.
+void PrefillTrueTimes(const PlanTimeOracle& oracle,
+                      const std::vector<const Query*>& queries,
+                      const RewriteOptionSet& options);
 
 }  // namespace maliva
 

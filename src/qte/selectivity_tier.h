@@ -41,7 +41,7 @@
 
 namespace maliva {
 
-/// Knobs of the histogram tier (ServiceConfig's histogram_* knobs land here).
+/// Knobs of the histogram tier.
 struct SelectivityTierConfig {
   /// Virtual cost charged per histogram-answered slot, replacing the probe's
   /// QteParams::unit_cost_ms. Near-zero: the lookup touches no table.

@@ -97,22 +97,6 @@ struct AdmissionConfig {
     max_queue = depth;
     return *this;
   }
-  AdmissionConfig& WithInitialServeEstimateMs(double ms) {
-    initial_serve_estimate_ms = ms;
-    return *this;
-  }
-  AdmissionConfig& WithServeEstimateAlpha(double alpha) {
-    serve_estimate_alpha = alpha;
-    return *this;
-  }
-  AdmissionConfig& WithDefaultWeight(double weight) {
-    default_weight = weight;
-    return *this;
-  }
-  AdmissionConfig& WithShare(std::string scenario, double weight, int tier = 0) {
-    shares.push_back({std::move(scenario), weight, tier});
-    return *this;
-  }
 };
 
 /// The gate's verdict for one request.

@@ -28,32 +28,8 @@ Status ServiceConfig::Validate() const {
         "num_threads must be <= " + std::to_string(kMaxNumThreads) + " (got " +
         std::to_string(num_threads) + "; likely an unsigned wrap-around)");
   }
-  if (!(bao_per_plan_cost_ms >= 0.0) || !std::isfinite(bao_per_plan_cost_ms)) {
-    return Status::InvalidArgument(
-        "bao_per_plan_cost_ms must be finite and non-negative");
-  }
   if (!(beta >= 0.0 && beta <= 1.0)) {
     return Status::InvalidArgument("beta must be within [0, 1] (Eq 2 weight)");
-  }
-  if (cross_request_cache) {
-    if (shared_store_capacity == 0) {
-      return Status::InvalidArgument(
-          "cross_request_cache requires shared_store_capacity > 0");
-    }
-    if (shared_store_shards == 0) {
-      return Status::InvalidArgument(
-          "cross_request_cache requires shared_store_shards > 0");
-    }
-    if (shared_store_shards > shared_store_capacity) {
-      return Status::InvalidArgument(
-          "shared_store_shards (" + std::to_string(shared_store_shards) +
-          ") must not exceed shared_store_capacity (" +
-          std::to_string(shared_store_capacity) + ")");
-    }
-    if (signature_literal_bins < 1) {
-      return Status::InvalidArgument(
-          "cross_request_cache requires signature_literal_bins >= 1");
-    }
   }
   if (result_cache) {
     if (result_cache_capacity == 0) {
@@ -70,73 +46,18 @@ Status ServiceConfig::Validate() const {
           ") must not exceed result_cache_capacity (" +
           std::to_string(result_cache_capacity) + ")");
     }
-    if (!(result_cache_tau_bin_ms > 0.0) ||
-        !std::isfinite(result_cache_tau_bin_ms)) {
-      return Status::InvalidArgument(
-          "result_cache_tau_bin_ms must be finite and positive");
-    }
-    if (result_cache_floor_bins < 1) {
-      return Status::InvalidArgument(
-          "result_cache requires result_cache_floor_bins >= 1");
-    }
-    if (signature_literal_bins < 1) {
-      return Status::InvalidArgument(
-          "result_cache requires signature_literal_bins >= 1 (cache keys "
-          "start from the canonical query signature)");
-    }
-  }
-  if (histogram_selectivity) {
-    if (histogram_buckets == 0) {
-      return Status::InvalidArgument(
-          "histogram_selectivity requires histogram_buckets > 0");
-    }
-    if (histogram_grid_cells == 0) {
-      return Status::InvalidArgument(
-          "histogram_selectivity requires histogram_grid_cells > 0");
-    }
-    if (!(histogram_cost_ms >= 0.0) || !std::isfinite(histogram_cost_ms)) {
-      return Status::InvalidArgument(
-          "histogram_cost_ms must be finite and non-negative");
-    }
-    if (!(max_histogram_rel_error > 0.0) ||
-        !std::isfinite(max_histogram_rel_error)) {
-      return Status::InvalidArgument(
-          "max_histogram_rel_error must be finite and positive");
-    }
-    if (histogram_error_window == 0) {
-      return Status::InvalidArgument(
-          "histogram_selectivity requires histogram_error_window > 0");
-    }
-  }
-  if (profile_requests && profile_sample_every == 0) {
-    return Status::InvalidArgument(
-        "profile_requests requires profile_sample_every >= 1 (0 would divide "
-        "by zero picking sampled requests)");
   }
   if (online_learning) {
     if (online_min_transitions == 0) {
       return Status::InvalidArgument(
           "online_learning requires online_min_transitions > 0");
     }
-    if (online_replay_capacity == 0) {
-      return Status::InvalidArgument(
-          "online_learning requires online_replay_capacity > 0");
-    }
-    if (online_replay_shards == 0) {
-      return Status::InvalidArgument(
-          "online_learning requires online_replay_shards > 0");
-    }
-    if (online_replay_shards > online_replay_capacity) {
-      return Status::InvalidArgument(
-          "online_replay_shards (" + std::to_string(online_replay_shards) +
-          ") must not exceed online_replay_capacity (" +
-          std::to_string(online_replay_capacity) + ")");
-    }
-    if (online_min_transitions > online_replay_capacity) {
+    const size_t replay_capacity = ContinualTrainer::Config{}.replay_capacity;
+    if (online_min_transitions > replay_capacity) {
       return Status::InvalidArgument(
           "online_min_transitions (" + std::to_string(online_min_transitions) +
-          ") must not exceed online_replay_capacity (" +
-          std::to_string(online_replay_capacity) +
+          ") must not exceed the replay sink's capacity (" +
+          std::to_string(replay_capacity) +
           "): the sink could never reach the retrain trigger");
     }
     if (online_gradient_steps == 0) {
@@ -237,15 +158,10 @@ MalivaService::MalivaService(Scenario* scenario, ServiceConfig config)
   state_.quality_oracle = std::make_unique<QualityOracle>(scenario_->engine.get());
 
   config_status_ = config_.Validate();
-  signature_options_.literal_bins = config_.signature_literal_bins;
   if (config_status_.ok() && config_.cross_request_cache) {
-    SharedSelectivityStore::Config store_config;
-    store_config.capacity = config_.shared_store_capacity;
-    store_config.shards = config_.shared_store_shards;
-    state_.shared_store = std::make_unique<SharedSelectivityStore>(store_config);
+    state_.shared_store =
+        std::make_unique<SharedSelectivityStore>(SharedSelectivityStore::Config{});
   }
-  fingerprint_options_.tau_bin_ms = config_.result_cache_tau_bin_ms;
-  fingerprint_options_.quality_floor_bins = config_.result_cache_floor_bins;
   if (config_status_.ok() && config_.result_cache) {
     RewriteResultCache::Config cache_config;
     cache_config.capacity = config_.result_cache_capacity;
@@ -254,28 +170,14 @@ MalivaService::MalivaService(Scenario* scenario, ServiceConfig config)
         std::make_unique<RewriteResultCache>(cache_config, serve_metrics_.cache);
   }
   if (config_status_.ok() && config_.histogram_selectivity) {
-    // Rebuild the engine's histograms at the configured resolution first:
-    // ConfigureHistograms bumps the catalog version on a resolution change,
-    // and the tier must capture the post-rebuild epoch or it would decline
-    // every estimate as stale from the first request.
-    HistogramOptions hist;
-    hist.buckets = config_.histogram_buckets;
-    hist.grid_cells = config_.histogram_grid_cells;
-    scenario_->engine->ConfigureHistograms(hist);
-    SelectivityTierConfig tier_config;
-    tier_config.histogram_cost_ms = config_.histogram_cost_ms;
-    tier_config.max_rel_error = config_.max_histogram_rel_error;
-    tier_config.error_window = config_.histogram_error_window;
     state_.selectivity_tier = std::make_unique<SelectivityTier>(
-        scenario_->engine.get(), tier_config);
+        scenario_->engine.get(), SelectivityTierConfig{});
   }
   if (config_status_.ok() && config_.online_learning) {
     state_.model_registry =
         std::make_unique<ModelRegistry>(config_.online_max_snapshots);
     ContinualTrainer::Config trainer_config;
     trainer_config.min_transitions = config_.online_min_transitions;
-    trainer_config.replay_capacity = config_.online_replay_capacity;
-    trainer_config.replay_shards = config_.online_replay_shards;
     trainer_config.gradient_steps = config_.online_gradient_steps;
     trainer_config.batch_size = config_.trainer.batch_size;
     trainer_config.learning_rate = config_.online_learning_rate;
@@ -599,11 +501,10 @@ MalivaService::DecisionContext MalivaService::ResolveContext(
     // and the result cache's signature. The epoch pins both to the current
     // statistics ground truth.
     ProfilerSimpleGuard span(prof, QueryProfiler::kSignature);
-    ctx.canonical = Canonicalize(*request.query, signature_options_);
+    ctx.canonical = Canonicalize(*request.query);
     ctx.epoch = scenario_->engine->catalog_version();
     ctx.fingerprint = MakeRequestFingerprint(ctx.canonical.signature, name,
-                                             ctx.tau_ms, request.quality_floor,
-                                             fingerprint_options_)
+                                             ctx.tau_ms, request.quality_floor)
                           .value;
   }
   // Online learning plane: the newest published snapshot of the strategy's
@@ -708,14 +609,13 @@ Result<RewriteResponse> MalivaService::ServeImpl(const RewriteRequest& request,
   // shared-immutable across threads.
   RewriteSession session(RewriteSession::SeedFor(session_seed_base_, request_index));
 
-  // Measurement plane: a sampled request gets a stack-owned profiler bound
+  // Measurement plane: a profiled request gets a stack-owned profiler bound
   // to its session. `prof == nullptr` is the off path — no clock is ever
   // read there, and the breakdown never feeds back into any decision, so
   // responses stay byte-identical either way.
   std::optional<QueryProfiler> profiler_storage;
   QueryProfiler* prof = nullptr;
-  if (config_.profile_requests &&
-      request_index % config_.profile_sample_every == 0) {
+  if (config_.profile_requests) {
     profiler_storage.emplace(&QueryProfiler::WallClockMs);
     prof = &*profiler_storage;
     session.BindProfiler(prof);
@@ -957,12 +857,7 @@ ThreadPool& MalivaService::Pool() const {
 
 void MalivaService::PrefillTrueTimes(const RewriterEnv& renv,
                                      const std::vector<const Query*>& queries) const {
-  if (ResolvedNumThreads() <= 1) return;
-  ThreadPool::Shared().ParallelFor(queries.size(), [&renv, &queries](size_t i) {
-    for (const RewriteOption& option : *renv.options) {
-      renv.oracle->TrueTimeMs(*queries[i], option);
-    }
-  });
+  if (ResolvedNumThreads() > 1) maliva::PrefillTrueTimes(*renv.oracle, queries, *renv.options);
 }
 
 std::vector<Result<RewriteResponse>> MalivaService::ServeBatch(
@@ -1136,8 +1031,7 @@ Result<std::unique_ptr<Rewriter>> BuildBao(MalivaService& s) {
   if (!qte.ok()) return qte.status();
   return std::unique_ptr<Rewriter>(std::make_unique<BaoRewriter>(
       s.scenario()->engine.get(), s.scenario()->oracle.get(),
-      &s.scenario()->options, qte.value(), s.scenario()->config.tau_ms,
-      s.config().bao_per_plan_cost_ms));
+      &s.scenario()->options, qte.value(), s.scenario()->config.tau_ms));
 }
 
 Result<std::unique_ptr<Rewriter>> BuildOneStageQuality(MalivaService& s) {

@@ -7,7 +7,7 @@
 // with strategies selected by name through RewriterFactory.
 //
 //   Scenario scenario = BuildScenario(cfg);
-//   MalivaService service(&scenario, ServiceConfig().WithAgentSeeds(1));
+//   MalivaService service(&scenario, ServiceConfig{.num_agent_seeds = 1});
 //   service.Warmup({"mdp/accurate", "baseline"});   // optional: train now
 //   RewriteRequest req;
 //   req.query = scenario.evaluation[0];
@@ -65,8 +65,10 @@ namespace maliva {
 class ThreadPool;  // util/thread_pool.h; owned pool is created lazily
 class QueryProfiler;  // util/query_profiler.h
 
-/// Configuration of one MalivaService instance. Builder-style setters allow
-/// inline construction; every knob has a sensible default.
+/// Configuration of one MalivaService instance; every knob has a sensible
+/// default. Each plane's own tuning (store capacity, histogram resolution,
+/// cache-key bins, replay sink bounds) is its component's default, not a
+/// knob here.
 struct ServiceConfig {
   /// QTE cost parameters. Unset means "use the scenario's parameters"
   /// (ScenarioConfig::qte); either way the resolved values are the single
@@ -78,8 +80,6 @@ struct ServiceConfig {
   /// validation workload is kept (hold-out validation, Section 7.1). A single
   /// agent is kept without running the validation pass.
   size_t num_agent_seeds = 2;
-  /// Bao's per-plan inference cost (virtual ms).
-  double bao_per_plan_cost_ms = 10.0;
   /// Reward weight of efficiency vs quality for quality-aware agents (Eq 2).
   double beta = 0.5;
   /// Approximation rules for the "quality/*" strategies. Must be approximate
@@ -104,40 +104,17 @@ struct ServiceConfig {
   /// deterministic given a fixed store snapshot, but batch results may
   /// depend on request completion order (who publishes first).
   bool cross_request_cache = false;
-  /// Shared store entry capacity (FIFO eviction). Must be > 0 when the
-  /// cache is on.
-  size_t shared_store_capacity = 1u << 20;
-  /// Shared store lock shards. Must be > 0 and <= capacity when the cache
-  /// is on.
-  size_t shared_store_shards = 16;
-  /// Literal-binning granularity of query canonicalization
-  /// (SignatureOptions::literal_bins). Must be >= 1 when the cache is on.
-  int signature_literal_bins = SignatureOptions{}.literal_bins;
 
   /// Histogram selectivity tier (DESIGN.md "Selectivity tiers"). Off
   /// (default): cold selectivity lookups pay the sample probe and ServeBatch
   /// stays byte-identical at every thread count. On: the sampling QTE
   /// answers slots from accurate full-table histograms
   /// (Engine::HistogramSelectivity, O(1), no table access) at the near-zero
-  /// histogram_cost_ms instead of the probe's unit cost, with per-column
-  /// trust learned from estimate-vs-probe error; requests stay deterministic
-  /// given the tier's trust state (like the shared store's snapshot
-  /// semantics).
+  /// SelectivityTierConfig::histogram_cost_ms instead of the probe's unit
+  /// cost, with per-column trust learned from estimate-vs-probe error;
+  /// requests stay deterministic given the tier's trust state (like the
+  /// shared store's snapshot semantics).
   bool histogram_selectivity = false;
-  /// Equi-width buckets per numeric column. Must be > 0 when the tier is on.
-  size_t histogram_buckets = 64;
-  /// Grid cells per axis for point columns. Must be > 0 when the tier is on.
-  size_t histogram_grid_cells = 64;
-  /// Virtual cost charged per histogram-answered slot (replaces the probe's
-  /// QteParams::unit_cost_ms). Must be finite and >= 0 when the tier is on.
-  double histogram_cost_ms = 0.5;
-  /// Demotion threshold: a (table, column) whose windowed mean relative
-  /// error vs probes exceeds this falls back to probing. Must be finite and
-  /// > 0 when the tier is on.
-  double max_histogram_rel_error = 0.35;
-  /// Per-(table, column) error samples retained for the trust decision.
-  /// Must be > 0 when the tier is on.
-  size_t histogram_error_window = 32;
 
   /// Rewrite-result cache (DESIGN.md "Rewrite-result cache"). Off (default):
   /// every request runs its strategy's full search and ServeBatch stays
@@ -149,20 +126,14 @@ struct ServiceConfig {
   /// coalesce behind one leader's search, and ServeBatch dedups identical
   /// contexts within a batch. Hit responses are byte-identical to the miss
   /// they were cached from; requests whose tau/floor differ only within a
-  /// bin share a decision (the documented fidelity trade, like
-  /// signature_literal_bins).
+  /// FingerprintOptions bin share a decision (the documented fidelity trade,
+  /// like SignatureOptions::literal_bins).
   bool result_cache = false;
   /// Cached decisions retained (CLOCK/second-chance eviction, per shard).
   /// Must be > 0 when the cache is on.
   size_t result_cache_capacity = 4096;
   /// Result-cache lock shards. Must be > 0 and <= capacity when on.
   size_t result_cache_shards = 8;
-  /// Width of one effective-tau key bin, virtual ms
-  /// (FingerprintOptions::tau_bin_ms). Must be finite and > 0 when on.
-  double result_cache_tau_bin_ms = 25.0;
-  /// Quality-floor key bins across [0, 1]
-  /// (FingerprintOptions::quality_floor_bins). Must be >= 1 when on.
-  int result_cache_floor_bins = 100;
 
   /// Online learning plane (DESIGN.md "Online learning plane"). Off
   /// (default): agents stay frozen after warm-up and ServeBatch results are
@@ -177,11 +148,6 @@ struct ServiceConfig {
   /// Buffered transitions that trigger a background fine-tune round. Must
   /// be > 0 when online learning is on.
   size_t online_min_transitions = 512;
-  /// Replay sink bound per agent key (oldest transitions dropped beyond it)
-  /// and its lock shards. capacity must be > 0 and shards in [1, capacity]
-  /// when online learning is on.
-  size_t online_replay_capacity = 16384;
-  size_t online_replay_shards = 8;
   /// Minibatch updates per fine-tune round. Must be > 0 when online
   /// learning is on; batch size / discount / target-sync cadence come from
   /// `trainer`.
@@ -213,15 +179,12 @@ struct ServiceConfig {
   /// Per-request cost profiling (DESIGN.md "Measurement plane"). Off (the
   /// default): the serve path holds one null-pointer check per would-be
   /// span, never reads a clock, and responses are byte-identical to pre-
-  /// profiler behavior. On: every profile_sample_every-th request (by batch
-  /// index; index 0 always profiles) carries a wall-clock phase breakdown —
-  /// signature / cache probe / selectivity ladder / search / render /
-  /// publish — in RequestStats::profile. The breakdown is measurement, not
-  /// decision state: decision bytes stay identical with profiling on or off
-  /// at every thread count.
+  /// profiler behavior. On: every request carries a wall-clock phase
+  /// breakdown — signature / cache probe / selectivity ladder / search /
+  /// render / publish — in RequestStats::profile. The breakdown is
+  /// measurement, not decision state: decision bytes stay identical with
+  /// profiling on or off at every thread count.
   bool profile_requests = false;
-  /// Profile every Nth request (1 = all). Must be >= 1 when profiling is on.
-  size_t profile_sample_every = 1;
 
   /// Value of the `scenario` base label stamped on every series of the
   /// service's MetricsRegistry (DESIGN.md "Observability plane"; the fleet
@@ -233,17 +196,13 @@ struct ServiceConfig {
   static constexpr size_t kMaxNumThreads = 4096;
 
   /// Rejects misconfigurations with InvalidArgument instead of silently
-  /// clamping: num_threads pathologies (> kMaxNumThreads), non-finite or
-  /// negative cost/reward knobs, and — when cross_request_cache is on —
-  /// zero capacities, zero shards, shards exceeding capacity, and
-  /// non-positive literal bins. Checked once at service construction; a
-  /// failing config turns every Serve/Warmup call into this error.
+  /// clamping: thread-count pathologies (> kMaxNumThreads), a beta outside
+  /// [0, 1], and — for a plane that is on — zero capacities, zero shards,
+  /// shards exceeding capacity, and non-positive or non-finite online
+  /// learning knobs. Checked once at service construction; a failing config
+  /// turns every Serve/Warmup call into this error.
   Status Validate() const;
 
-  ServiceConfig& WithQte(QteParams params) {
-    qte = params;
-    return *this;
-  }
   ServiceConfig& WithTrainerIterations(size_t iterations) {
     trainer.max_iterations = iterations;
     return *this;
@@ -252,44 +211,8 @@ struct ServiceConfig {
     num_agent_seeds = seeds;
     return *this;
   }
-  ServiceConfig& WithBeta(double value) {
-    beta = value;
-    return *this;
-  }
-  ServiceConfig& WithBaoPerPlanCostMs(double ms) {
-    bao_per_plan_cost_ms = ms;
-    return *this;
-  }
   ServiceConfig& WithApproxRules(std::vector<ApproxRule> rules) {
     approx_rules = std::move(rules);
-    return *this;
-  }
-  ServiceConfig& WithDefaultStrategy(std::string name) {
-    default_strategy = std::move(name);
-    return *this;
-  }
-  ServiceConfig& WithNumThreads(size_t threads) {
-    num_threads = threads;
-    return *this;
-  }
-  ServiceConfig& WithCrossRequestCache(bool enabled) {
-    cross_request_cache = enabled;
-    return *this;
-  }
-  ServiceConfig& WithSharedStoreCapacity(size_t capacity) {
-    shared_store_capacity = capacity;
-    return *this;
-  }
-  ServiceConfig& WithSharedStoreShards(size_t shards) {
-    shared_store_shards = shards;
-    return *this;
-  }
-  ServiceConfig& WithSignatureLiteralBins(int bins) {
-    signature_literal_bins = bins;
-    return *this;
-  }
-  ServiceConfig& WithHistogramSelectivity(bool enabled) {
-    histogram_selectivity = enabled;
     return *this;
   }
   ServiceConfig& WithResultCache(bool enabled) {
@@ -300,60 +223,8 @@ struct ServiceConfig {
     result_cache_capacity = capacity;
     return *this;
   }
-  ServiceConfig& WithResultCacheShards(size_t shards) {
-    result_cache_shards = shards;
-    return *this;
-  }
-  ServiceConfig& WithResultCacheTauBinMs(double ms) {
-    result_cache_tau_bin_ms = ms;
-    return *this;
-  }
-  ServiceConfig& WithResultCacheFloorBins(int bins) {
-    result_cache_floor_bins = bins;
-    return *this;
-  }
-  ServiceConfig& WithOnlineLearning(bool enabled) {
-    online_learning = enabled;
-    return *this;
-  }
-  ServiceConfig& WithOnlineMinTransitions(size_t transitions) {
-    online_min_transitions = transitions;
-    return *this;
-  }
-  ServiceConfig& WithOnlineReplayCapacity(size_t capacity) {
-    online_replay_capacity = capacity;
-    return *this;
-  }
-  ServiceConfig& WithOnlineReplayShards(size_t shards) {
-    online_replay_shards = shards;
-    return *this;
-  }
-  ServiceConfig& WithOnlineGradientSteps(size_t steps) {
-    online_gradient_steps = steps;
-    return *this;
-  }
-  ServiceConfig& WithOnlineLearningRate(double rate) {
-    online_learning_rate = rate;
-    return *this;
-  }
-  ServiceConfig& WithOnlineGateTolerance(double tolerance) {
-    online_gate_tolerance = tolerance;
-    return *this;
-  }
-  ServiceConfig& WithOnlineTrainerThreads(size_t threads) {
-    online_trainer_threads = threads;
-    return *this;
-  }
-  ServiceConfig& WithOnlineMaxSnapshots(size_t max_snapshots) {
-    online_max_snapshots = max_snapshots;
-    return *this;
-  }
   ServiceConfig& WithProfileRequests(bool enabled) {
     profile_requests = enabled;
-    return *this;
-  }
-  ServiceConfig& WithProfileSampleEvery(size_t every) {
-    profile_sample_every = every;
     return *this;
   }
 };
@@ -628,11 +499,8 @@ class MalivaService {
   /// (so purely sequential services never spawn threads).
   ThreadPool& Pool() const;
 
-  /// Runs renv.oracle->TrueTimeMs for every pair of `queries` x
-  /// `*renv.options` on ThreadPool::Shared(), so the sequential training
-  /// loop that follows reads its ground truth from the memo. Does nothing
-  /// when ResolvedNumThreads() is 1. Execution is deterministic, so the
-  /// trained agents do not depend on whether this ran.
+  /// PrefillTrueTimes over `queries` x `*renv.options` when
+  /// ResolvedNumThreads() > 1; a one-thread service spawns no thread.
   void PrefillTrueTimes(const RewriterEnv& renv,
                         const std::vector<const Query*>& queries) const;
 
@@ -644,10 +512,6 @@ class MalivaService {
   QteParams qte_params_;
   /// Base of per-request session seeds (mixed with the request index).
   uint64_t session_seed_base_;
-  /// Canonicalization options derived from the config (knowledge plane).
-  SignatureOptions signature_options_;
-  /// Tau/floor binning of result-cache keys, derived from the config.
-  FingerprintOptions fingerprint_options_;
 
   /// The record stage, the one count per answered request: stamps
   /// `response`'s serve_wall_ms with the host wall time since `start` and

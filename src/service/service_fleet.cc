@@ -45,11 +45,6 @@ Status FleetConfig::Validate() const {
       return Status::InvalidArgument(
           "slo_target_hit_rate must be within (0, 1]");
     }
-    if (slo_window_count == 0 || slo_window_count > 64) {
-      return Status::InvalidArgument(
-          "slo_window_count must be within [1, 64] (the flusher retains at "
-          "most 64 windows)");
-    }
     if (slo_min_requests == 0) {
       return Status::InvalidArgument(
           "slo_min_requests must be >= 1 (0 would flag scenarios that served "
@@ -605,7 +600,6 @@ FleetStats MalivaFleet::Stats() const {
     SloConfig slo;
     slo.enabled = true;
     slo.target_hit_rate = config_.slo_target_hit_rate;
-    slo.window_count = config_.slo_window_count;
     slo.min_requests = config_.slo_min_requests;
     stats.slo = SloWatchdog(slo).Evaluate(flusher_->Windows());
   }

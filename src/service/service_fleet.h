@@ -9,7 +9,7 @@
 //       ServiceConfig().WithAgentSeeds(1)));
 //   fleet.RegisterScenario("tweets", &tweets);          // fleet defaults
 //   fleet.RegisterScenario("taxi", &taxi, [](ServiceConfig& c) {
-//     c.WithCrossRequestCache(true);                    // per-shard override
+//     c.cross_request_cache = true;                     // per-shard override
 //   });
 //   RewriteRequest req;
 //   req.scenario = "taxi";
@@ -96,10 +96,10 @@ struct FleetConfig {
   size_t trace_ring_capacity = 0;
   /// SLO watchdog (requires metrics_flush_ms > 0 and admission.enabled):
   /// evaluates per-scenario deadline-hit-rate burn over the flusher's
-  /// newest slo_window_count windows; breaches surface in FleetStats::slo.
+  /// newest SloConfig::window_count windows; breaches surface in
+  /// FleetStats::slo.
   bool slo_watchdog = false;
   double slo_target_hit_rate = 0.95;
-  size_t slo_window_count = 4;
   uint64_t slo_min_requests = 32;
 
   /// Rejects fleet-level pathologies (thread-count wrap-arounds), any
@@ -121,32 +121,8 @@ struct FleetConfig {
     warmup_threads = threads;
     return *this;
   }
-  FleetConfig& WithWarmupStrategies(std::vector<std::string> strategies) {
-    warmup_strategies = std::move(strategies);
-    return *this;
-  }
   FleetConfig& WithAdmission(AdmissionConfig config) {
     admission = std::move(config);
-    return *this;
-  }
-  FleetConfig& WithMetricsFlushMs(size_t ms) {
-    metrics_flush_ms = ms;
-    return *this;
-  }
-  FleetConfig& WithTraceRingCapacity(size_t capacity) {
-    trace_ring_capacity = capacity;
-    return *this;
-  }
-  FleetConfig& WithSloWatchdog(bool enabled) {
-    slo_watchdog = enabled;
-    return *this;
-  }
-  FleetConfig& WithSloTargetHitRate(double rate) {
-    slo_target_hit_rate = rate;
-    return *this;
-  }
-  FleetConfig& WithSloMinRequests(uint64_t requests) {
-    slo_min_requests = requests;
     return *this;
   }
 };

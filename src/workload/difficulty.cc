@@ -50,6 +50,7 @@ BucketedWorkload BucketQueries(const PlanTimeOracle& oracle,
                                const BucketScheme& scheme) {
   BucketedWorkload out{scheme, {}, {}};
   out.buckets.resize(scheme.num_buckets());
+  PrefillTrueTimes(oracle, queries, options);
   for (const Query* q : queries) {
     int count = static_cast<int>(CountViablePlans(oracle, *q, options, tau_ms));
     int b = scheme.BucketOf(count);

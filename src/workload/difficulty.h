@@ -57,6 +57,8 @@ struct BucketedWorkload {
 };
 
 /// Buckets `queries` by viable-plan count under `options` and `tau_ms`.
+/// The (query, option) grid is executed in parallel first (PrefillTrueTimes),
+/// so the counting loop reads the memo; the buckets do not depend on it.
 BucketedWorkload BucketQueries(const PlanTimeOracle& oracle,
                                const std::vector<const Query*>& queries,
                                const RewriteOptionSet& options, double tau_ms,

@@ -175,32 +175,5 @@ TEST(Histogram, StaleEpochIsRefused) {
       engine->HistogramSelectivity("t", pred, engine->catalog_version()).ok());
 }
 
-TEST(Histogram, ConfigureHistogramsRebuildsAndBumpsEpoch) {
-  Rng rng(29);
-  std::vector<double> values;
-  for (size_t i = 0; i < 5000; ++i) values.push_back(rng.Uniform(0, 100));
-  std::unique_ptr<Engine> engine = EngineWith(NumericTable("v", values));
-  uint64_t before = engine->catalog_version();
-
-  HistogramOptions coarse;
-  coarse.buckets = 4;
-  coarse.grid_cells = 4;
-  engine->ConfigureHistograms(coarse);
-  EXPECT_GT(engine->catalog_version(), before);
-  EXPECT_EQ(engine->histogram_options().buckets, 4u);
-
-  // Re-applying identical options is a no-op (no epoch churn).
-  uint64_t after = engine->catalog_version();
-  engine->ConfigureHistograms(coarse);
-  EXPECT_EQ(engine->catalog_version(), after);
-
-  // The coarse rebuild still answers (with coarser interpolation).
-  Predicate pred = Predicate::Numeric("v", 0, 50);
-  double truth = engine->TrueSelectivity("t", pred).value();
-  double est =
-      engine->HistogramSelectivity("t", pred, engine->catalog_version()).value();
-  EXPECT_NEAR(est, truth, 0.05);
-}
-
 }  // namespace
 }  // namespace maliva

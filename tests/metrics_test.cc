@@ -315,10 +315,9 @@ class MetricsServiceTest : public ::testing::Test {
 
   /// Cheap config: baseline default strategy (no agent training).
   static ServiceConfig BaseConfig() {
-    return ServiceConfig()
-        .WithTrainerIterations(3)
-        .WithAgentSeeds(1)
-        .WithDefaultStrategy("baseline");
+    ServiceConfig config = ServiceConfig().WithTrainerIterations(3).WithAgentSeeds(1);
+    config.default_strategy = "baseline";
+    return config;
   }
 
   static Scenario* scenario_;
@@ -406,25 +405,22 @@ Scenario* MetricsFleetTest::scenario_a_ = nullptr;
 Scenario* MetricsFleetTest::scenario_b_ = nullptr;
 
 TEST_F(MetricsFleetTest, SloWatchdogRequiresFlusherAndGate) {
-  FleetConfig no_flusher = FleetConfig().WithSloWatchdog(true).WithAdmission(
-      AdmissionConfig().WithEnabled(true));
+  FleetConfig no_flusher{.admission = {.enabled = true}, .slo_watchdog = true};
   EXPECT_EQ(no_flusher.Validate().code(), Status::Code::kInvalidArgument);
-  FleetConfig no_gate = FleetConfig().WithMetricsFlushMs(100).WithSloWatchdog(true);
+  FleetConfig no_gate{.metrics_flush_ms = 100, .slo_watchdog = true};
   EXPECT_EQ(no_gate.Validate().code(), Status::Code::kInvalidArgument);
-  EXPECT_TRUE(FleetConfig().WithMetricsFlushMs(100).Validate().ok());
+  EXPECT_TRUE(FleetConfig{.metrics_flush_ms = 100}.Validate().ok());
 }
 
 TEST_F(MetricsFleetTest, ConcurrentServesAndSnapshotsAggregateExactly) {
   // The ISSUE 10 concurrency satellite: 8 serving threads racing a
   // snapshotting thread; every intermediate cut is monotone, and the final
   // merged snapshot equals the sum of the per-shard registries.
-  MalivaFleet fleet(FleetConfig()
-                        .WithDefaults(ServiceConfig()
-                                          .WithTrainerIterations(3)
-                                          .WithAgentSeeds(1)
-                                          .WithDefaultStrategy("baseline")
-                                          )
-                        .WithWarmupStrategies({"baseline"}));
+  ServiceConfig service_config = ServiceConfig().WithTrainerIterations(3).WithAgentSeeds(1);
+  service_config.default_strategy = "baseline";
+  FleetConfig fleet_config = FleetConfig().WithDefaults(service_config);
+  fleet_config.warmup_strategies = {"baseline"};
+  MalivaFleet fleet(fleet_config);
   ASSERT_TRUE(fleet.RegisterScenario("a", scenario_a_).ok());
   ASSERT_TRUE(fleet.RegisterScenario("b", scenario_b_).ok());
   fleet.WaitWarmups();

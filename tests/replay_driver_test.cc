@@ -61,12 +61,9 @@ class ReplayDriverTest : public ::testing::Test {
   }
 
   /// Replays the golden trace closed-loop on one fleet variant.
-  static ReplayReport ReplayLeg(size_t threads, bool admission, bool profiled,
-                                size_t sample_every = 1) {
+  static ReplayReport ReplayLeg(size_t threads, bool admission, bool profiled) {
     FleetConfig cfg = replay_golden::GoldenFleetConfig(threads, admission);
-    if (profiled) {
-      cfg.defaults.WithProfileRequests(true).WithProfileSampleEvery(sample_every);
-    }
+    cfg.defaults.WithProfileRequests(profiled);
     MalivaFleet fleet(cfg);
     Status registered = replay_golden::RegisterGolden(&fleet, workload_);
     EXPECT_TRUE(registered.ok()) << registered.ToString();
@@ -172,13 +169,6 @@ TEST_F(ReplayDriverTest, ProfilerOnCarriesBreakdownsOffDoesNot) {
             on.profile.TotalMs(ProfileBreakdown::kSelectivity));
   // And the decision bytes are identical either way.
   EXPECT_EQ(on.record_digests, off.record_digests);
-}
-
-TEST_F(ReplayDriverTest, ProfileSamplingProfilesEveryNth) {
-  ReplayReport sampled = ReplayLeg(1, false, true, /*sample_every=*/2);
-  // Sampling is per-shard-index: twitter's 36-record slice profiles 18,
-  // tpch's 12-record slice profiles 6.
-  EXPECT_EQ(sampled.profiled, 24u);
 }
 
 TEST_F(ReplayDriverTest, OpenLoopRequiresAdmission) {

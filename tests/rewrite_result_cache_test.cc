@@ -336,9 +336,12 @@ TEST_F(ResultCacheServiceTest, HitsDoNotRebillSelectivityTelemetry) {
 }
 
 TEST_F(ResultCacheServiceTest, MissPathMatchesCacheOffServiceByteForByte) {
-  MalivaService off(scenario_, SmallConfig().WithNumThreads(1));
-  MalivaService on(scenario_,
-                   SmallConfig().WithResultCache(true).WithNumThreads(8));
+  ServiceConfig off_config = SmallConfig();
+  off_config.num_threads = 1;
+  ServiceConfig on_config = SmallConfig().WithResultCache(true);
+  on_config.num_threads = 8;
+  MalivaService off(scenario_, off_config);
+  MalivaService on(scenario_, on_config);
 
   // Mixed strategies, taus, floors, and error requests: with the cache on,
   // every decision (first-seen misses and replayed duplicates alike) must
@@ -371,8 +374,9 @@ TEST_F(ResultCacheServiceTest, MissPathMatchesCacheOffServiceByteForByte) {
 }
 
 TEST_F(ResultCacheServiceTest, BatchDedupCoalescesDuplicatesWithinOneBatch) {
-  MalivaService service(scenario_,
-                        SmallConfig().WithResultCache(true).WithNumThreads(4));
+  ServiceConfig config = SmallConfig().WithResultCache(true);
+  config.num_threads = 4;
+  MalivaService service(scenario_, config);
   ASSERT_TRUE(service.Warmup({"mdp/accurate"}).ok());
 
   // 4 distinct requests, 4 copies each, interleaved. The cache is cold, so
@@ -449,10 +453,9 @@ TEST_F(ResultCacheServiceTest, OneDecisionContextAcrossEntryPoints) {
   // ring and the serve path's own cache — must agree on the key. Shared
   // store and result cache both on, so the serve path canonicalizes once
   // for both planes.
-  const ServiceConfig config = SmallConfig()
-                                   .WithCrossRequestCache(true)
-                                   .WithResultCache(true)
-                                   .WithNumThreads(1);
+  ServiceConfig config = SmallConfig().WithResultCache(true);
+  config.num_threads = 1;
+  config.cross_request_cache = true;
   MalivaService service(scenario_, config);
 
   // Strategy-default tau resolves identically cold and built.
@@ -529,10 +532,9 @@ TEST_F(ResultCacheServiceTest, OneDecisionContextAcrossEntryPoints) {
   }
 
   // A fleet's trace events carry the same fingerprint the shard reports.
-  MalivaFleet fleet(FleetConfig()
-                        .WithDefaults(config)
-                        .WithWarmupThreads(0)
-                        .WithTraceRingCapacity(64));
+  FleetConfig fleet_config = FleetConfig().WithDefaults(config).WithWarmupThreads(0);
+  fleet_config.trace_ring_capacity = 64;
+  MalivaFleet fleet(fleet_config);
   ASSERT_TRUE(fleet.RegisterScenario("tweets", scenario_).ok());
   Result<std::shared_ptr<const MalivaService>> shard = fleet.ServiceFor("tweets");
   ASSERT_TRUE(shard.ok());
@@ -552,13 +554,13 @@ TEST_F(ResultCacheServiceTest, OneDecisionContextAcrossEntryPoints) {
 
   // The agent snapshot version keys the context: after RetrainNow publishes
   // v2, the probe declines a context resident under v1.
-  MalivaService online(scenario_, SmallConfig()
-                                      .WithCrossRequestCache(true)
-                                      .WithResultCache(true)
-                                      .WithOnlineLearning(true)
-                                      .WithOnlineTrainerThreads(0)
-                                      .WithOnlineGradientSteps(4)
-                                      .WithOnlineGateTolerance(10.0));
+  ServiceConfig online_config = SmallConfig().WithResultCache(true);
+  online_config.cross_request_cache = true;
+  online_config.online_learning = true;
+  online_config.online_gradient_steps = 4;
+  online_config.online_gate_tolerance = 10.0;
+  online_config.online_trainer_threads = 0;
+  MalivaService online(scenario_, online_config);
   ASSERT_TRUE(online.Warmup({"mdp/accurate"}).ok());
   std::vector<RewriteRequest> feedback;
   for (size_t i = 0; i < 32; ++i) feedback.push_back(Request(i));
@@ -579,12 +581,11 @@ TEST_F(ResultCacheServiceTest, ValidateRejectsBadKnobs) {
   req.strategy = "baseline";
   ServiceConfig bad[] = {
       SmallConfig().WithResultCache(true).WithResultCacheCapacity(0),
-      SmallConfig().WithResultCache(true).WithResultCacheShards(0),
-      SmallConfig().WithResultCache(true).WithResultCacheCapacity(4).WithResultCacheShards(8),
-      SmallConfig().WithResultCache(true).WithResultCacheTauBinMs(0.0),
-      SmallConfig().WithResultCache(true).WithResultCacheTauBinMs(-5.0),
-      SmallConfig().WithResultCache(true).WithResultCacheFloorBins(0),
+      SmallConfig().WithResultCache(true),
+      SmallConfig().WithResultCache(true).WithResultCacheCapacity(4),
   };
+  bad[1].result_cache_shards = 0;
+  bad[2].result_cache_shards = 8;
   for (size_t i = 0; i < sizeof(bad) / sizeof(bad[0]); ++i) {
     SCOPED_TRACE(i);
     ASSERT_FALSE(bad[i].Validate().ok());
@@ -696,12 +697,12 @@ TEST_F(ResultCacheRaceTest, SnapshotPublishInvalidatesResidentDecisions) {
   cfg.num_queries = 120;
   cfg.seed = 227;
   Scenario scenario = BuildScenario(cfg);
-  MalivaService service(&scenario, SmallConfig()
-                                       .WithResultCache(true)
-                                       .WithOnlineLearning(true)
-                                       .WithOnlineTrainerThreads(0)
-                                       .WithOnlineGradientSteps(4)
-                                       .WithOnlineGateTolerance(10.0));
+  ServiceConfig config = SmallConfig().WithResultCache(true);
+  config.online_learning = true;
+  config.online_gradient_steps = 4;
+  config.online_gate_tolerance = 10.0;
+  config.online_trainer_threads = 0;
+  MalivaService service(&scenario, config);
   ASSERT_TRUE(service.Warmup({"mdp/accurate"}).ok());
   const std::string key = "agent/exact-accurate";
 
@@ -754,13 +755,12 @@ TEST_F(ResultCacheRaceTest, EightThreadsUnderSnapshotAndCatalogChurn) {
   cfg.num_queries = 120;
   cfg.seed = 229;
   Scenario scenario = BuildScenario(cfg);
-  MalivaService service(&scenario, SmallConfig()
-                                       .WithResultCache(true)
-                                       .WithResultCacheCapacity(64)
-                                       .WithOnlineLearning(true)
-                                       .WithOnlineTrainerThreads(0)
-                                       .WithOnlineGradientSteps(4)
-                                       .WithOnlineGateTolerance(10.0));
+  ServiceConfig config = SmallConfig().WithResultCache(true).WithResultCacheCapacity(64);
+  config.online_learning = true;
+  config.online_gradient_steps = 4;
+  config.online_gate_tolerance = 10.0;
+  config.online_trainer_threads = 0;
+  MalivaService service(&scenario, config);
   ASSERT_TRUE(service.Warmup({"mdp/accurate"}).ok());
   const std::string key = "agent/exact-accurate";
 

@@ -108,7 +108,8 @@ TEST(SelectivityTier, ServiceReportsPerRungHitsAndTelemetry) {
     SCOPED_TRACE(shared_store ? "shared store on" : "shared store off");
     ServiceConfig config;
     config.default_strategy = "naive";  // sampling QTE, no training needed
-    config.WithHistogramSelectivity(true).WithCrossRequestCache(shared_store);
+    config.histogram_selectivity = true;
+    config.cross_request_cache = shared_store;
     MalivaService service(&scenario, config);
 
     std::vector<RewriteRequest> requests;

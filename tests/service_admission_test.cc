@@ -132,10 +132,8 @@ TEST(AdmissionControllerTest, DeadlineScalesTauBySlack) {
 }
 
 TEST(AdmissionControllerTest, DecideWalksTheVerdictLadder) {
-  AdmissionConfig config = AdmissionConfig()
-                               .WithEnabled(true)
-                               .WithMaxQueue(4)
-                               .WithInitialServeEstimateMs(10.0);
+  AdmissionConfig config{
+      .enabled = true, .max_queue = 4, .initial_serve_estimate_ms = 10.0};
   AdmissionController gate(config);
   // Queue at capacity wins over everything.
   EXPECT_EQ(gate.Decide(0.0, 100.0, /*queue_depth=*/4, /*workers=*/2),
@@ -149,10 +147,8 @@ TEST(AdmissionControllerTest, DecideWalksTheVerdictLadder) {
 }
 
 TEST(AdmissionControllerTest, DegradeDisabledShedsInstead) {
-  AdmissionConfig config = AdmissionConfig()
-                               .WithEnabled(true)
-                               .WithDegradeStrategy("")
-                               .WithInitialServeEstimateMs(10.0);
+  AdmissionConfig config{
+      .enabled = true, .degrade_strategy = "", .initial_serve_estimate_ms = 10.0};
   AdmissionController gate(config);
   EXPECT_EQ(gate.Decide(0.0, 12.0, 1, 2), AdmissionDecision::kShedDeadline);
 }
@@ -169,10 +165,8 @@ TEST(AdmissionControllerTest, ShedStatusesAreTyped) {
 }
 
 TEST(AdmissionControllerTest, ServeEwmaTracksObservations) {
-  AdmissionConfig config = AdmissionConfig()
-                               .WithEnabled(true)
-                               .WithInitialServeEstimateMs(10.0)
-                               .WithServeEstimateAlpha(0.5);
+  AdmissionConfig config{
+      .enabled = true, .initial_serve_estimate_ms = 10.0, .serve_estimate_alpha = 0.5};
   AdmissionController gate(config);
   EXPECT_DOUBLE_EQ(gate.EstimatedServeMs(), 10.0);
   gate.RecordServeMs(20.0);
@@ -182,10 +176,9 @@ TEST(AdmissionControllerTest, ServeEwmaTracksObservations) {
 }
 
 TEST(AdmissionControllerTest, SharesResolveWithDefaults) {
-  AdmissionConfig config = AdmissionConfig()
-                               .WithEnabled(true)
-                               .WithDefaultWeight(3.0)
-                               .WithShare("vip", 8.0, /*tier=*/2);
+  AdmissionConfig config{.enabled = true,
+                         .default_weight = 3.0,
+                         .shares = {{"vip", 8.0, /*tier=*/2}}};
   AdmissionController gate(config);
   EXPECT_DOUBLE_EQ(gate.WeightFor("vip"), 8.0);
   EXPECT_EQ(gate.TierFor("vip"), 2);
@@ -219,8 +212,7 @@ TEST(AdmissionValidateTest, RejectsNonPositiveSlackFactor) {
 
 TEST(AdmissionValidateTest, RejectsNonPositiveScenarioWeight) {
   FleetConfig config;
-  config.WithAdmission(
-      AdmissionConfig().WithEnabled(true).WithShare("twitter", 0.0));
+  config.admission = {.enabled = true, .shares = {{"twitter", 0.0}}};
   Status st = config.Validate();
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("weight"), std::string::npos);
@@ -230,21 +222,19 @@ TEST(AdmissionValidateTest, RejectsNonPositiveScenarioWeight) {
 TEST(AdmissionValidateTest, RejectsBadEwmaKnobs) {
   {
     FleetConfig config;
-    config.WithAdmission(
-        AdmissionConfig().WithEnabled(true).WithInitialServeEstimateMs(0.0));
+    config.admission = {.enabled = true, .initial_serve_estimate_ms = 0.0};
     EXPECT_NE(config.Validate().message().find("initial_serve_estimate_ms"),
               std::string::npos);
   }
   {
     FleetConfig config;
-    config.WithAdmission(
-        AdmissionConfig().WithEnabled(true).WithServeEstimateAlpha(1.5));
+    config.admission = {.enabled = true, .serve_estimate_alpha = 1.5};
     EXPECT_NE(config.Validate().message().find("serve_estimate_alpha"),
               std::string::npos);
   }
   {
     FleetConfig config;
-    config.WithAdmission(AdmissionConfig().WithEnabled(true).WithDefaultWeight(-2.0));
+    config.admission = {.enabled = true, .default_weight = -2.0};
     EXPECT_NE(config.Validate().message().find("default_weight"), std::string::npos);
   }
 }
@@ -290,10 +280,9 @@ class AdmissionFleetTest : public ::testing::Test {
   }
 
   static FleetConfig SmallFleetConfig(size_t threads = 2) {
-    return FleetConfig()
-        .WithDefaults(SmallConfig())
-        .WithNumThreads(threads)
-        .WithWarmupStrategies({"mdp/accurate", "baseline"});
+    FleetConfig config = FleetConfig().WithDefaults(SmallConfig()).WithNumThreads(threads);
+    config.warmup_strategies = {"mdp/accurate", "baseline"};
+    return config;
   }
 
   static RewriteRequest TwitterRequest(size_t i,
@@ -332,12 +321,10 @@ TEST_F(AdmissionFleetTest, PredictedMissForcesDegradeStrategy) {
   // An absurd initial serve estimate makes every predicted completion miss
   // its deadline deterministically: the gate must serve with the degrade
   // strategy and flag the response, never shed (the queue has room).
-  MalivaFleet fleet(SmallFleetConfig().WithAdmission(
-      AdmissionConfig()
-          .WithEnabled(true)
-          .WithDegradeStrategy("baseline")
-          .WithInitialServeEstimateMs(1e9)
-          .WithServeEstimateAlpha(1e-9)));
+  MalivaFleet fleet(SmallFleetConfig().WithAdmission({.enabled = true,
+                                                      .degrade_strategy = "baseline",
+                                                      .initial_serve_estimate_ms = 1e9,
+                                                      .serve_estimate_alpha = 1e-9}));
   ASSERT_TRUE(fleet.RegisterScenario("twitter", twitter_).ok());
   fleet.WaitWarmups();
   Result<RewriteResponse> response = fleet.Serve(TwitterRequest(0));
@@ -352,10 +339,7 @@ TEST_F(AdmissionFleetTest, PredictedMissForcesDegradeStrategy) {
 
 TEST_F(AdmissionFleetTest, PredictedMissShedsWhenDegradeDisabled) {
   MalivaFleet fleet(SmallFleetConfig().WithAdmission(
-      AdmissionConfig()
-          .WithEnabled(true)
-          .WithDegradeStrategy("")
-          .WithInitialServeEstimateMs(1e9)));
+      {.enabled = true, .degrade_strategy = "", .initial_serve_estimate_ms = 1e9}));
   ASSERT_TRUE(fleet.RegisterScenario("twitter", twitter_).ok());
   fleet.WaitWarmups();
   Result<RewriteResponse> response = fleet.Serve(TwitterRequest(0));
@@ -365,7 +349,7 @@ TEST_F(AdmissionFleetTest, PredictedMissShedsWhenDegradeDisabled) {
 
 TEST_F(AdmissionFleetTest, AdmittedRequestServesNormally) {
   MalivaFleet fleet(SmallFleetConfig().WithAdmission(
-      AdmissionConfig().WithEnabled(true).WithShare("twitter", 2.0, 1)));
+      {.enabled = true, .shares = {{"twitter", 2.0, 1}}}));
   ASSERT_TRUE(fleet.RegisterScenario("twitter", twitter_).ok());
   fleet.WaitWarmups();
   Result<RewriteResponse> response = fleet.Serve(TwitterRequest(0));
@@ -541,13 +525,11 @@ TEST_F(AdmissionFleetTest, OffModeKeepsByteEqualityAcrossThreadCounts) {
 // must balance exactly.
 TEST_F(AdmissionFleetTest, ConcurrentServesUnderOverloadStayTypedAndBalanced) {
   MalivaFleet fleet(SmallFleetConfig(4).WithAdmission(
-      AdmissionConfig()
-          .WithEnabled(true)
-          .WithMaxQueue(2)
-          .WithSlackFactor(0.02)  // 10ms wall budget on tau=500
-          .WithInitialServeEstimateMs(2.0)
-          .WithShare("twitter", 2.0)
-          .WithShare("taxi", 1.0)));
+      {.enabled = true,
+       .slack_factor = 0.02,  // 10ms wall budget on tau=500
+       .max_queue = 2,
+       .initial_serve_estimate_ms = 2.0,
+       .shares = {{"twitter", 2.0}, {"taxi", 1.0}}}));
   ASSERT_TRUE(fleet.RegisterScenario("twitter", twitter_).ok());
   ASSERT_TRUE(fleet.RegisterScenario("taxi", taxi_).ok());
   fleet.WaitWarmups();

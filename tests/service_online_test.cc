@@ -89,7 +89,9 @@ TEST_F(ServiceOnlineTest, OffModeStaysByteIdenticalAcrossThreadCounts) {
   std::vector<RewriteRequest> requests = MdpRequests(48);
   std::vector<Result<RewriteResponse>> reference;
   for (size_t threads : {size_t{1}, size_t{4}, size_t{8}}) {
-    MalivaService service(scenario_, SmallConfig().WithNumThreads(threads));
+    ServiceConfig config = SmallConfig();
+    config.num_threads = threads;
+    MalivaService service(scenario_, config);
     ASSERT_TRUE(service.Warmup({"mdp/accurate"}).ok());
     std::vector<Result<RewriteResponse>> responses = service.ServeBatch(requests);
     ASSERT_EQ(responses.size(), requests.size());
@@ -117,9 +119,10 @@ TEST_F(ServiceOnlineTest, SnapshotV1ServesDecisionsIdenticalToFrozen) {
   MalivaService frozen(scenario_, SmallConfig());
   // No background workers: the plane is on but no round can fire, so the
   // online service keeps serving the offline warm-up clone.
-  MalivaService online(scenario_, SmallConfig()
-                                      .WithOnlineLearning(true)
-                                      .WithOnlineTrainerThreads(0));
+  ServiceConfig online_config = SmallConfig();
+  online_config.online_learning = true;
+  online_config.online_trainer_threads = 0;
+  MalivaService online(scenario_, online_config);
   ASSERT_TRUE(frozen.Warmup({"mdp/accurate"}).ok());
   ASSERT_TRUE(online.Warmup({"mdp/accurate"}).ok());
 
@@ -144,12 +147,13 @@ TEST_F(ServiceOnlineTest, SnapshotVersionMonotonicUnderServeRetrainStress) {
   // 8 serving threads + background fine-tunes with a low trigger threshold:
   // versions observed by requests and by Stats() must only move up. This is
   // the suite's TSan/ASan stress leg.
-  MalivaService service(scenario_, SmallConfig()
-                                       .WithOnlineLearning(true)
-                                       .WithOnlineMinTransitions(64)
-                                       .WithOnlineGradientSteps(8)
-                                       .WithOnlineGateTolerance(10.0)
-                                       .WithNumThreads(8));
+  ServiceConfig config = SmallConfig();
+  config.num_threads = 8;
+  config.online_learning = true;
+  config.online_min_transitions = 64;
+  config.online_gradient_steps = 8;
+  config.online_gate_tolerance = 10.0;
+  MalivaService service(scenario_, config);
   ASSERT_TRUE(service.Warmup({"mdp/accurate"}).ok());
 
   std::vector<RewriteRequest> requests = MdpRequests(64);
@@ -193,14 +197,14 @@ TEST_F(ServiceOnlineTest, FailedValidationGateKeepsServingOldSnapshot) {
   cfg.tau_ms = 250.0;
   cfg.seed = 151;
   Scenario scenario = BuildScenario(cfg);
-  MalivaService service(&scenario, SmallConfig()
-                                       .WithTrainerIterations(6)
-                                       .WithNumThreads(1)
-                                       .WithOnlineLearning(true)
-                                       .WithOnlineGradientSteps(256)
-                                       .WithOnlineLearningRate(1e-2)
-                                       .WithOnlineGateTolerance(0.0)
-                                       .WithOnlineTrainerThreads(0));
+  ServiceConfig config = SmallConfig().WithTrainerIterations(6);
+  config.num_threads = 1;
+  config.online_learning = true;
+  config.online_gradient_steps = 256;
+  config.online_learning_rate = 1e-2;
+  config.online_gate_tolerance = 0.0;
+  config.online_trainer_threads = 0;
+  MalivaService service(&scenario, config);
   ASSERT_TRUE(service.Warmup({"mdp/accurate"}).ok());
   const std::string key = "agent/exact-accurate";
   PublishedModel incumbent = service.online_trainer()->Current(key);
@@ -256,11 +260,12 @@ TEST_F(ServiceOnlineTest, FailedValidationGateKeepsServingOldSnapshot) {
 }
 
 TEST_F(ServiceOnlineTest, RegistryRollbackRestoresPredecessorButNeverV1) {
-  MalivaService service(scenario_, SmallConfig()
-                                       .WithOnlineLearning(true)
-                                       .WithOnlineTrainerThreads(0)
-                                       .WithOnlineGradientSteps(4)
-                                       .WithOnlineGateTolerance(10.0));
+  ServiceConfig config = SmallConfig();
+  config.online_learning = true;
+  config.online_gradient_steps = 4;
+  config.online_gate_tolerance = 10.0;
+  config.online_trainer_threads = 0;
+  MalivaService service(scenario_, config);
   ASSERT_TRUE(service.Warmup({"mdp/accurate"}).ok());
   ModelRegistry* registry = service.model_registry();
   ASSERT_NE(registry, nullptr);
@@ -302,12 +307,13 @@ TEST_F(ServiceOnlineTest, BoundedSnapshotChainKeepsWarmupFloorAndNewest) {
   // long-running online shard must not accumulate every model it ever
   // published. Version 1 (the rollback floor) and the newest versions stay;
   // older middles are pruned on publish.
-  MalivaService service(scenario_, SmallConfig()
-                                       .WithOnlineLearning(true)
-                                       .WithOnlineTrainerThreads(0)
-                                       .WithOnlineGradientSteps(4)
-                                       .WithOnlineGateTolerance(10.0)
-                                       .WithOnlineMaxSnapshots(3));
+  ServiceConfig config = SmallConfig();
+  config.online_learning = true;
+  config.online_gradient_steps = 4;
+  config.online_gate_tolerance = 10.0;
+  config.online_trainer_threads = 0;
+  config.online_max_snapshots = 3;
+  MalivaService service(scenario_, config);
   ASSERT_TRUE(service.Warmup({"mdp/accurate"}).ok());
   ModelRegistry* registry = service.model_registry();
   ASSERT_NE(registry, nullptr);
@@ -336,62 +342,54 @@ TEST_F(ServiceOnlineTest, BoundedSnapshotChainKeepsWarmupFloorAndNewest) {
 }
 
 TEST_F(ServiceOnlineTest, ValidateRejectsOnlinePathologies) {
-  EXPECT_TRUE(ServiceConfig().WithOnlineLearning(true).Validate().ok());
+  EXPECT_TRUE(ServiceConfig{.online_learning = true}.Validate().ok());
 
   auto expect_invalid = [](const ServiceConfig& config) {
     Status st = config.Validate();
     ASSERT_FALSE(st.ok());
     EXPECT_EQ(st.code(), Status::Code::kInvalidArgument);
   };
-  expect_invalid(ServiceConfig().WithOnlineLearning(true).WithOnlineMinTransitions(0));
-  expect_invalid(ServiceConfig().WithOnlineLearning(true).WithOnlineReplayCapacity(0));
-  expect_invalid(ServiceConfig().WithOnlineLearning(true).WithOnlineReplayShards(0));
-  expect_invalid(ServiceConfig()
-                     .WithOnlineLearning(true)
-                     .WithOnlineReplayCapacity(4)
-                     .WithOnlineReplayShards(8));
+  expect_invalid({.online_learning = true, .online_min_transitions = 0});
   // A trigger threshold the bounded sink can never reach would make the
   // plane silently inert.
-  expect_invalid(ServiceConfig()
-                     .WithOnlineLearning(true)
-                     .WithOnlineReplayCapacity(256)
-                     .WithOnlineMinTransitions(512));
-  expect_invalid(ServiceConfig().WithOnlineLearning(true).WithOnlineGradientSteps(0));
-  expect_invalid(
-      ServiceConfig().WithOnlineLearning(true).WithOnlineLearningRate(0.0));
-  expect_invalid(
-      ServiceConfig().WithOnlineLearning(true).WithOnlineLearningRate(-1.0));
-  expect_invalid(
-      ServiceConfig().WithOnlineLearning(true).WithOnlineGateTolerance(-0.5));
-  expect_invalid(ServiceConfig().WithOnlineLearning(true).WithOnlineTrainerThreads(
-      static_cast<size_t>(-1)));
+  expect_invalid({.online_learning = true,
+                  .online_min_transitions = ContinualTrainer::Config{}.replay_capacity + 1});
+  expect_invalid({.online_learning = true, .online_gradient_steps = 0});
+  expect_invalid({.online_learning = true, .online_learning_rate = 0.0});
+  expect_invalid({.online_learning = true, .online_learning_rate = -1.0});
+  expect_invalid({.online_learning = true, .online_gate_tolerance = -0.5});
+  expect_invalid({.online_learning = true,
+                  .online_trainer_threads = static_cast<size_t>(-1)});
   // The snapshot-chain bound needs room for the warm-up floor (version 1)
   // plus the serving head.
-  expect_invalid(ServiceConfig().WithOnlineLearning(true).WithOnlineMaxSnapshots(0));
-  expect_invalid(ServiceConfig().WithOnlineLearning(true).WithOnlineMaxSnapshots(1));
-  EXPECT_TRUE(ServiceConfig().WithOnlineLearning(true).WithOnlineMaxSnapshots(2).Validate().ok());
+  expect_invalid({.online_learning = true, .online_max_snapshots = 0});
+  expect_invalid({.online_learning = true, .online_max_snapshots = 1});
+  EXPECT_TRUE(
+      (ServiceConfig{.online_learning = true, .online_max_snapshots = 2}.Validate().ok()));
   // Trainer fields the fine-tune rounds copy are guarded too (a zero
   // target_sync_every would be a modulo divisor of zero).
   {
-    ServiceConfig config = ServiceConfig().WithOnlineLearning(true);
+    ServiceConfig config{.online_learning = true};
     config.trainer.target_sync_every = 0;
     expect_invalid(config);
-    EXPECT_TRUE(ServiceConfig{config}.WithOnlineLearning(false).Validate().ok());
+    config.online_learning = false;
+    EXPECT_TRUE(config.Validate().ok());
   }
   {
-    ServiceConfig config = ServiceConfig().WithOnlineLearning(true);
+    ServiceConfig config{.online_learning = true};
     config.trainer.batch_size = 0;
     expect_invalid(config);
   }
 
   // With the plane off, online knob values are inert and not rejected.
-  EXPECT_TRUE(ServiceConfig().WithOnlineMinTransitions(0).Validate().ok());
+  EXPECT_TRUE(ServiceConfig{.online_min_transitions = 0}.Validate().ok());
 }
 
 TEST_F(ServiceOnlineTest, NonAgentStrategiesServeFrozenUnderOnlineMode) {
-  MalivaService service(scenario_, SmallConfig()
-                                       .WithOnlineLearning(true)
-                                       .WithOnlineTrainerThreads(0));
+  ServiceConfig config = SmallConfig();
+  config.online_learning = true;
+  config.online_trainer_threads = 0;
+  MalivaService service(scenario_, config);
   RewriteRequest req;
   req.query = scenario_->evaluation[0];
   for (const char* strategy : {"baseline", "naive", "bao"}) {

@@ -226,17 +226,17 @@ replay_golden::GoldenWorkload* ServiceStatsParityTest::workload_ = nullptr;
 
 TEST_F(ServiceStatsParityTest, UngatedFleetCountersEqualResponseTally) {
   constexpr size_t kCacheCapacity = 8;
-  MalivaFleet fleet(FleetConfig()
-                        .WithDefaults(replay_golden::GoldenServiceConfig()
-                                          .WithCrossRequestCache(true)
-                                          .WithHistogramSelectivity(true)
-                                          .WithResultCache(true)
-                                          .WithResultCacheCapacity(kCacheCapacity)
-                                          .WithResultCacheShards(1)
-                                          .WithNumThreads(1))
-                        .WithNumThreads(1)
-                        .WithWarmupThreads(1)
-                        .WithWarmupStrategies({"mdp/accurate", "baseline"}));
+  ServiceConfig service_config = replay_golden::GoldenServiceConfig()
+                                     .WithResultCache(true)
+                                     .WithResultCacheCapacity(kCacheCapacity);
+  service_config.num_threads = 1;
+  service_config.cross_request_cache = true;
+  service_config.histogram_selectivity = true;
+  service_config.result_cache_shards = 1;
+  FleetConfig fleet_config =
+      FleetConfig().WithDefaults(service_config).WithNumThreads(1).WithWarmupThreads(1);
+  fleet_config.warmup_strategies = {"mdp/accurate", "baseline"};
+  MalivaFleet fleet(fleet_config);
   ASSERT_TRUE(replay_golden::RegisterGolden(&fleet, workload_).ok());
   std::map<std::string, Tally> tallies;
 
@@ -347,12 +347,11 @@ TEST_F(ServiceStatsParityTest, GatedFleetCountersEqualVerdictTally) {
                                           .WithResultCache(true))
                         .WithNumThreads(1)
                         .WithWarmupThreads(0)
-                        .WithAdmission(AdmissionConfig()
-                                           .WithEnabled(true)
-                                           .WithDegradeStrategy("baseline")
-                                           .WithMaxQueue(1)
-                                           .WithInitialServeEstimateMs(1000.0)
-                                           .WithServeEstimateAlpha(1e-9)));
+                        .WithAdmission({.enabled = true,
+                                        .degrade_strategy = "baseline",
+                                        .max_queue = 1,
+                                        .initial_serve_estimate_ms = 1000.0,
+                                        .serve_estimate_alpha = 1e-9}));
   ASSERT_TRUE(fleet.RegisterScenario("twitter", &workload_->twitter).ok());
   Tally tally;
   auto request = [&](size_t i, const char* strategy, double tau_ms) {

@@ -280,7 +280,9 @@ TEST_F(ServiceTest, QualityFloorFallsBackToExactPlan) {
 TEST_F(ServiceTest, ExplicitQteJitterSeedIsHonored) {
   QteParams custom;
   custom.jitter_seed = 424242;
-  MalivaService service(scenario_, SmallConfig().WithQte(custom));
+  ServiceConfig config = SmallConfig();
+  config.qte = custom;
+  MalivaService service(scenario_, config);
   EXPECT_EQ(service.qte_params().jitter_seed, 424242u);
 }
 
@@ -326,7 +328,9 @@ TEST_F(ServiceTest, QteParamsResolveFromScenarioAndConfig) {
   // An explicit config override wins.
   QteParams custom;
   custom.unit_cost_ms = 99.0;
-  MalivaService overridden(scenario_, SmallConfig().WithQte(custom));
+  ServiceConfig config = SmallConfig();
+  config.qte = custom;
+  MalivaService overridden(scenario_, config);
   EXPECT_DOUBLE_EQ(overridden.qte_params().unit_cost_ms, 99.0);
 
   // Either way the env wiring carries the resolved values.
@@ -366,7 +370,9 @@ TEST(ServiceTrainingTest, SingleSeedSkipsValidationAndMatchesBareTrainer) {
 
   Scenario served_scenario = BuildScenario(cfg);
   ASSERT_FALSE(served_scenario.validation.empty());
-  MalivaService service(&served_scenario, ServiceConfig(config).WithNumThreads(4));
+  ServiceConfig served_config = config;
+  served_config.num_threads = 4;
+  MalivaService service(&served_scenario, served_config);
   Result<const Rewriter*> built = service.GetRewriter("mdp/accurate");
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   const auto* rewriter = dynamic_cast<const MalivaRewriter*>(built.value());
@@ -404,8 +410,12 @@ TEST(ServiceTrainingTest, ParallelPrefillMatchesSequentialBuild) {
   Scenario sequential_scenario = BuildScenario(cfg);
   Scenario parallel_scenario = BuildScenario(cfg);
   ASSERT_FALSE(sequential_scenario.validation.empty());
-  MalivaService sequential(&sequential_scenario, ServiceConfig(config).WithNumThreads(1));
-  MalivaService parallel(&parallel_scenario, ServiceConfig(config).WithNumThreads(4));
+  ServiceConfig sequential_config = config;
+  sequential_config.num_threads = 1;
+  ServiceConfig parallel_config = config;
+  parallel_config.num_threads = 4;
+  MalivaService sequential(&sequential_scenario, sequential_config);
+  MalivaService parallel(&parallel_scenario, parallel_config);
 
   Result<const Rewriter*> built = sequential.GetRewriter("mdp/accurate");
   ASSERT_TRUE(built.ok()) << built.status().ToString();

@@ -213,18 +213,18 @@ TEST(TraceRingFleetTest, FleetRecordsTracesAndUnbreachedSlo) {
   config.seed = 121;
   Scenario scenario = BuildScenario(config);
 
-  MalivaFleet fleet(
+  ServiceConfig service_config = ServiceConfig().WithTrainerIterations(3).WithAgentSeeds(1);
+  service_config.default_strategy = "baseline";
+  FleetConfig fleet_config =
       FleetConfig()
-          .WithDefaults(ServiceConfig()
-                            .WithTrainerIterations(3)
-                            .WithAgentSeeds(1)
-                            .WithDefaultStrategy("baseline"))
-          .WithWarmupStrategies({"baseline"})
-          .WithAdmission(AdmissionConfig().WithEnabled(true).WithSlackFactor(50.0))
-          .WithMetricsFlushMs(600000)  // manual FlushNow only in the test
-          .WithTraceRingCapacity(64)
-          .WithSloWatchdog(true)
-          .WithSloMinRequests(4));
+          .WithDefaults(service_config)
+          .WithAdmission(AdmissionConfig().WithEnabled(true).WithSlackFactor(50.0));
+  fleet_config.warmup_strategies = {"baseline"};
+  fleet_config.metrics_flush_ms = 600000;  // manual FlushNow only in the test
+  fleet_config.trace_ring_capacity = 64;
+  fleet_config.slo_watchdog = true;
+  fleet_config.slo_min_requests = 4;
+  MalivaFleet fleet(fleet_config);
   ASSERT_TRUE(fleet.RegisterScenario("tweets", &scenario).ok());
   fleet.WaitWarmups();
 
