@@ -1,5 +1,6 @@
 #include "workload/trace.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstdarg>
@@ -161,7 +162,9 @@ Result<Trace> Trace::Deserialize(const std::string& text) {
   if (!next() || sscanf(line.c_str(), "streams %zu", &num_streams) != 1) {
     return fail("expected \"streams <n>\"");
   }
-  t.streams.reserve(num_streams);
+  // Header counts are untrusted: every entry takes at least one line of
+  // `text`, so its size bounds what an honest count can reserve.
+  t.streams.reserve(std::min(num_streams, text.size()));
   for (size_t i = 0; i < num_streams; ++i) {
     if (!next()) return fail("truncated stream table");
     char scenario[128], strategy[128];
@@ -180,7 +183,7 @@ Result<Trace> Trace::Deserialize(const std::string& text) {
   if (!next() || sscanf(line.c_str(), "records %zu", &num_records) != 1) {
     return fail("expected \"records <n>\"");
   }
-  t.records.reserve(num_records);
+  t.records.reserve(std::min(num_records, text.size()));
   for (size_t i = 0; i < num_records; ++i) {
     if (!next()) return fail("truncated record list");
     TraceRecord r;

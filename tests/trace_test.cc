@@ -192,6 +192,16 @@ TEST(ReplayTraceTest, DeserializeRejectsGarbage) {
   EXPECT_FALSE(Trace::Deserialize("maliva-trace v1\nname x\nseed 1\n"
                                   "streams 1\nstream - - 0 -1 1 4\n"
                                   "records 2\n0 0 1.0\n").ok());
+  // Header counts far beyond what the input holds are refused, not
+  // reserved up front.
+  for (const char* huge : {"maliva-trace v1\nname x\nseed 1\n"
+                           "streams 18446744073709551615\n",
+                           "maliva-trace v1\nname x\nseed 1\nstreams 0\n"
+                           "records 1152921504606846975\n"}) {
+    Result<Trace> parsed = Trace::Deserialize(huge);
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.status().code(), Status::Code::kInvalidArgument);
+  }
 }
 
 TEST(ReplayTraceTest, RecordInternsStreams) {
