@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
 #include "workload/difficulty.h"
@@ -324,6 +325,37 @@ TEST(DifficultyTest, BucketQueriesPartitions) {
   size_t total = bw.out_of_range.size();
   for (const auto& bucket : bw.buckets) total += bucket.size();
   EXPECT_EQ(total, s.evaluation.size());
+}
+
+TEST(DifficultyTest, BucketQueriesMatchesSerialCount) {
+  // BucketQueries executes the grid in parallel before counting; a serial
+  // CountViablePlans on a second, identically seeded scenario with a cold
+  // memo must put every evaluation query in the same bucket.
+  ScenarioConfig cfg;
+  cfg.kind = DatasetKind::kTwitter;
+  cfg.num_rows = 10000;
+  cfg.num_queries = 60;
+  const BucketScheme scheme = BucketScheme::Exact0To4();
+  Scenario prefilled = BuildScenario(cfg);
+  Scenario serial = BuildScenario(cfg);
+  ASSERT_EQ(serial.oracle->CacheSize(), 0u);
+  ASSERT_EQ(prefilled.evaluation.size(), serial.evaluation.size());
+
+  BucketedWorkload bw = BucketQueries(*prefilled.oracle, prefilled.evaluation,
+                                      prefilled.options, 500.0, scheme);
+  std::map<const Query*, int> bucket_of;
+  for (size_t b = 0; b < bw.buckets.size(); ++b) {
+    for (const Query* q : bw.buckets[b]) bucket_of[q] = static_cast<int>(b);
+  }
+  for (const Query* q : bw.out_of_range) bucket_of[q] = -1;
+  ASSERT_EQ(bucket_of.size(), prefilled.evaluation.size());
+
+  for (size_t i = 0; i < serial.evaluation.size(); ++i) {
+    SCOPED_TRACE(i);
+    const int count = static_cast<int>(
+        CountViablePlans(*serial.oracle, *serial.evaluation[i], serial.options, 500.0));
+    EXPECT_EQ(bucket_of.at(prefilled.evaluation[i]), scheme.BucketOf(count));
+  }
 }
 
 }  // namespace
