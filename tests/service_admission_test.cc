@@ -25,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <string>
@@ -394,6 +395,64 @@ TEST_F(AdmissionFleetTest, ServeAsyncRequiresAdmission) {
   });
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), Status::Code::kFailedPrecondition);
+}
+
+// Lifecycle stress (TSan/ASan leg): the fleet is destroyed while admitted
+// ServeAsync jobs are still queued behind a blocked worker and the metrics
+// flusher is snapshotting. Teardown must run every queued job, so every
+// `done` fires exactly once, and none fires after the destructor returns.
+TEST_F(AdmissionFleetTest, DestroyWithQueuedAsyncJobsFiresEveryCallbackOnce) {
+  constexpr size_t kRequests = 64;
+  std::vector<std::atomic<int>> completions(kRequests);
+  std::atomic<bool> holding{false};
+  std::atomic<bool> teardown{false};
+  std::atomic<bool> release{false};
+  // Frees the held worker 20 ms after the fleet's scope starts to unwind,
+  // i.e. while its destructor is draining the queue.
+  std::thread releaser([&] {
+    while (!teardown.load()) std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    release.store(true);
+  });
+  const std::thread::id test_thread = std::this_thread::get_id();
+  {
+    FleetConfig config = SmallFleetConfig(/*threads=*/1);
+    config.warmup_strategies = {"baseline"};
+    config.admission = {.enabled = true,
+                        .slack_factor = 1.0e6,
+                        .max_queue = 1 << 16,
+                        .initial_serve_estimate_ms = 0.01};
+    config.metrics_flush_ms = 1;
+    MalivaFleet fleet(config);
+    // Destroyed before the fleet on every exit from this scope.
+    struct TeardownSignal {
+      std::atomic<bool>& flag;
+      ~TeardownSignal() { flag.store(true); }
+    } signal{teardown};
+    ASSERT_TRUE(fleet.RegisterScenario("twitter", twitter_).ok());
+    fleet.WaitWarmups();
+
+    for (size_t i = 0; i < kRequests; ++i) {
+      Status st = fleet.ServeAsync(
+          TwitterRequest(i, "baseline"), [&, i](Result<RewriteResponse> response) {
+            EXPECT_TRUE(response.ok()) << response.status().ToString();
+            // The first completion holds the only worker, so every later
+            // job is still queued when the destructor starts.
+            if (i == 0 && std::this_thread::get_id() != test_thread) {
+              holding.store(true);
+              while (!release.load()) std::this_thread::yield();
+            }
+            completions[i].fetch_add(1);
+          });
+      EXPECT_TRUE(st.ok()) << st.ToString();
+    }
+    while (!holding.load() && completions[0].load() == 0) std::this_thread::yield();
+    EXPECT_EQ(fleet.Stats().admission.queue_depth, kRequests - 1);
+  }
+  releaser.join();
+  for (size_t i = 0; i < kRequests; ++i) {
+    EXPECT_EQ(completions[i].load(), 1) << "request " << i;
+  }
 }
 
 TEST_F(AdmissionFleetTest, StatsRollUpPerShardAndFleetWide) {
