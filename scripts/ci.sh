@@ -7,8 +7,10 @@
 #
 #   scripts/ci.sh          # docs check + regular build + full test suite
 #   scripts/ci.sh --docs   # docs check only (no build): README/docs/DESIGN
-#                          # relative links resolve, and every bench_*.cc has
-#                          # a docs/experiments.md entry
+#                          # relative links resolve, every bench_*.cc has
+#                          # a docs/experiments.md entry, and every README
+#                          # knob-table row names a field (and setter) the
+#                          # service config headers declare
 #   scripts/ci.sh --tsan   # additionally: ThreadSanitizer build (build-tsan/)
 #                          # running the service/concurrency suites
 #   scripts/ci.sh --asan   # additionally: AddressSanitizer build (build-asan/)
@@ -24,8 +26,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Docs leg: every relative markdown link in README.md, DESIGN.md, and docs/
-# must resolve to a file or directory, and every bench binary must have an
-# entry in docs/experiments.md (the authoritative experiment index).
+# must resolve to a file or directory, every bench binary must have an
+# entry in docs/experiments.md (the authoritative experiment index), and
+# every README knob-table row must name a declared config field.
 check_docs() {
   echo "== docs check: links + experiment coverage =="
   local fail=0
@@ -58,6 +61,27 @@ check_docs() {
       fail=1
     fi
   done
+  # Knob tables: every README row under a "| knob (setter) |" header must
+  # name a field, and the setter in parentheses if it lists one, that the
+  # config headers still declare, so a deleted knob cannot linger in the
+  # docs.
+  local headers=(src/service/service.h src/service/service_fleet.h
+                 src/service/admission_controller.h)
+  local row field setter
+  while IFS= read -r row; do
+    field="$(sed -E 's/^\| `([A-Za-z_]+)`.*/\1/' <<<"$row")"
+    if ! grep -qE "^[[:space:]]+[A-Za-z0-9_:<>, ]+[[:space:]]${field}( = [^;]*)?;" "${headers[@]}"; then
+      echo "UNKNOWN KNOB in README.md: ${field} is not a field of ${headers[*]}"
+      fail=1
+    fi
+    setter="$(sed -nE 's/^\| `[A-Za-z_]+` \(`(With[A-Za-z]+).*/\1/p' <<<"$row")"
+    if [[ -n "$setter" ]] && ! grep -qE "& ${setter}\(" "${headers[@]}"; then
+      echo "UNKNOWN SETTER in README.md: ${setter} (row ${field}) is not declared in ${headers[*]}"
+      fail=1
+    fi
+  done < <(awk '/^\| knob \(setter\) \|/ { table = 1; next }
+               table && /^\|/ { if ($0 !~ /^\|-/) print; next }
+               { table = 0 }' README.md)
   if [[ "$fail" != 0 ]]; then
     echo "docs check FAILED" >&2
     exit 1
