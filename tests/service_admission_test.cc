@@ -408,8 +408,9 @@ TEST_F(AdmissionFleetTest, DestroyWithQueuedAsyncJobsFiresEveryCallbackOnce) {
   std::atomic<bool> teardown{false};
   std::atomic<bool> release{false};
   // Frees the held worker 20 ms after the fleet's scope starts to unwind,
-  // i.e. while its destructor is draining the queue.
-  std::thread releaser([&] {
+  // i.e. while its destructor is draining the queue. A jthread, so an
+  // early ASSERT return still joins it.
+  std::jthread releaser([&] {
     while (!teardown.load()) std::this_thread::yield();
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     release.store(true);
