@@ -96,8 +96,10 @@ ServiceConfig ShardServiceConfig() {
 }
 
 FleetConfig MakeFleetConfig(size_t threads) {
-  FleetConfig config =
-      FleetConfig().WithDefaults(ShardServiceConfig()).WithNumThreads(threads).WithWarmupThreads(2);
+  FleetConfig config = FleetConfig()
+                           .WithDefaults(ShardServiceConfig())
+                           .WithNumThreads(threads)
+                           .WithWarmupThreads(2);
   config.warmup_strategies = {"mdp/accurate", "naive", "baseline"};
   return config;
 }

@@ -51,8 +51,10 @@ ServiceConfig ShardServiceConfig() {
 }
 
 FleetConfig BaseFleetConfig(size_t threads) {
-  FleetConfig config =
-      FleetConfig().WithDefaults(ShardServiceConfig()).WithNumThreads(threads).WithWarmupThreads(2);
+  FleetConfig config = FleetConfig()
+                           .WithDefaults(ShardServiceConfig())
+                           .WithNumThreads(threads)
+                           .WithWarmupThreads(2);
   config.warmup_strategies = {"mdp/accurate", "baseline"};
   return config;
 }

@@ -857,7 +857,9 @@ ThreadPool& MalivaService::Pool() const {
 
 void MalivaService::PrefillTrueTimes(const RewriterEnv& renv,
                                      const std::vector<const Query*>& queries) const {
-  if (ResolvedNumThreads() > 1) maliva::PrefillTrueTimes(*renv.oracle, queries, *renv.options);
+  if (ResolvedNumThreads() > 1) {
+    maliva::PrefillTrueTimes(*renv.oracle, queries, *renv.options);
+  }
 }
 
 std::vector<Result<RewriteResponse>> MalivaService::ServeBatch(
