@@ -65,12 +65,11 @@ struct RequestStats {
   /// Host wall-clock serving latency, milliseconds.
   double serve_wall_ms = 0.0;
   /// Per-phase cost breakdown (ISSUE 9): set only when this request was
-  /// profiled (ServiceConfig::profile_requests, sampled every
-  /// profile_sample_every-th request). Wall-clock based and run-varying like
-  /// serve_wall_ms — excluded from byte-identity; the decision bytes of a
-  /// response are identical with profiling on or off. Cache-hit responses
-  /// carry the hit path's own (partial) breakdown, never the template of the
-  /// miss that computed the entry.
+  /// profiled (ServiceConfig::profile_requests). Wall-clock based and
+  /// run-varying like serve_wall_ms — excluded from byte-identity; the
+  /// decision bytes of a response are identical with profiling on or off.
+  /// Cache-hit responses carry the hit path's own (partial) breakdown, never
+  /// the template of the miss that computed the entry.
   std::optional<ProfileBreakdown> profile;
 };
 
