@@ -63,11 +63,6 @@ inline ServiceConfig DefaultServiceConfig() {
   return ServiceConfig().WithTrainerIterations(25).WithAgentSeeds(2);
 }
 
-/// The open-loop arrival process now lives in src/workload/arrival.h
-/// (shared with the trace-replay driver); re-exported here so existing
-/// benches keep compiling unchanged.
-using maliva::ArrivalGenerator;
-
 /// Simple wall-clock stopwatch for reporting bench phases.
 class Stopwatch {
  public:

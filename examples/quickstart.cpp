@@ -7,7 +7,7 @@
 // scenario registration (with background warm-up), strategy selection by
 // name, per-request budgets, and batched serving. A single-shard fleet is a
 // drop-in MalivaService — requests need no routing key until a second
-// scenario is registered (see bench/bench_fleet_mixed.cc for that).
+// scenario is registered (bench/replay_golden.h registers two).
 
 #include <cstdio>
 

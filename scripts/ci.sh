@@ -12,9 +12,9 @@
 #                          # knob-table row names a field (and setter) the
 #                          # service config headers declare
 #   scripts/ci.sh --tsan   # additionally: ThreadSanitizer build (build-tsan/)
-#                          # running the service/concurrency suites
-#   scripts/ci.sh --asan   # additionally: AddressSanitizer build (build-asan/)
-#                          # running the same suites (store stress included)
+#                          # running the whole test suite in one process
+#   scripts/ci.sh --asan   # additionally: AddressSanitizer + UBSan build
+#                          # (build-asan/) running the whole test suite
 #   scripts/ci.sh --bench  # additionally: benchmark determinism self-check
 #                          # (benchmark/run.sh --selfcheck, Release build in
 #                          # build-bench/): smoke runs of every maliva_bench
@@ -208,36 +208,39 @@ assert d['prometheus_bytes'] > 0 and d['json_bytes'] > 0
 assert d['ring_appended'] >= d['ring_retained'] > 0
 EOF
 
-# Both sanitizer legs run the service + concurrency + fleet + admission
-# suites (which include the SharedSelectivityStore stress test, the shard
-# plane's register/serve/drain stress test, and the overload plane's
-# serve-under-overload stress test) plus the selectivity-ladder suites —
-# training-heavy suites are slow under sanitizers and exercise no additional
-# threading or ownership.
-sanitizer_suites='Service|Concurrency|Fleet|Admission|Histogram|SelectivityTier|ResultCache|Replay|Profiler|Metrics|TraceRing'
-
-if [[ "$run_tsan" == 1 ]]; then
-  # TSan pass over the concurrent serving core: parallel ServeBatch, lazy
-  # strategy builds, the memoized oracles, and the sharded shared store.
-  cmake -B build-tsan -S . -DMALIVA_TSAN=ON \
+# One sanitizer leg: build maliva_tests with the given cmake flags and run
+# the whole binary in one process (ctest would start a process per test and
+# rebuild each suite's shared fixture every time). The leg prints how many
+# tests passed and fails when that is below what --gtest_list_tests lists,
+# so no filter can shrink it silently.
+run_sanitizer_leg() {
+  local title="$1" dir="$2"
+  shift 2
+  cmake -B "$dir" -S . "$@" \
     -DMALIVA_BUILD_BENCHES=OFF -DMALIVA_BUILD_EXAMPLES=OFF \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build build-tsan -j"$(nproc)" --target maliva_tests
+  cmake --build "$dir" -j"$(nproc)" --target maliva_tests
+  local listed passed start
+  listed="$(env -u GTEST_FILTER "$dir/maliva_tests" --gtest_list_tests | grep -c '^  ')"
+  echo "== ${title}: maliva_tests, ${listed} tests in one process =="
+  start=$SECONDS
+  "$dir/maliva_tests" 2>&1 | tee "$dir/sanitizer_leg.log"
+  passed="$(sed -nE 's/^\[  PASSED  \] ([0-9]+) tests?\.$/\1/p' "$dir/sanitizer_leg.log")"
+  echo "${title}: ${passed:-0} of ${listed} tests passed in $((SECONDS - start)) s"
+  if (( ${passed:-0} < listed )); then
+    echo "${title}: fewer tests passed than the binary lists" >&2
+    exit 1
+  fi
+}
+
+if [[ "$run_tsan" == 1 ]]; then
   TSAN_OPTIONS="halt_on_error=1" \
-    ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
-      -R "$sanitizer_suites"
+    run_sanitizer_leg "TSan" build-tsan -DMALIVA_TSAN=ON
 fi
 
 if [[ "$run_asan" == 1 ]]; then
-  # ASan pass over the same suites: store eviction/epoch churn, session
-  # cache ownership, interned option sets.
-  cmake -B build-asan -S . -DMALIVA_ASAN=ON \
-    -DMALIVA_BUILD_BENCHES=OFF -DMALIVA_BUILD_EXAMPLES=OFF \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build build-asan -j"$(nproc)" --target maliva_tests
-  ASAN_OPTIONS="halt_on_error=1" \
-    ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
-      -R "$sanitizer_suites"
+  ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="print_stacktrace=1" \
+    run_sanitizer_leg "ASan+UBSan" build-asan -DMALIVA_ASAN=ON
 fi
 
 if [[ "$run_bench" == 1 ]]; then

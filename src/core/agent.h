@@ -19,8 +19,7 @@ class QAgent {
   /// `num_actions` = |Omega|; the input dim is 2 * num_actions + 1.
   QAgent(size_t num_actions, uint64_t seed);
 
-  /// Reconstructs an agent from snapshotted networks (copied). Used by the
-  /// online learning plane to materialize a published AgentSnapshot.
+  /// Builds an agent around copies of the given networks (Clone's path).
   QAgent(size_t num_actions, const Mlp& online, const Mlp& target);
 
   /// Deep copy — networks and optimizer state — so a fine-tune can train a
@@ -48,10 +47,6 @@ class QAgent {
   void SyncTarget();
 
   Mlp* online() { return online_.get(); }
-
-  /// Read-only network views (snapshot publication copies from these).
-  const Mlp& online_net() const { return *online_; }
-  const Mlp& target_net() const { return *target_; }
 
  private:
   size_t num_actions_;

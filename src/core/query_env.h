@@ -84,10 +84,6 @@ class QueryEnv {
   /// Number of exploration steps taken.
   size_t steps() const { return steps_; }
 
-  const SelectivityCache& cache() const { return *cache_; }
-  const QteContext& ctx() const { return *ctx_; }
-  const EnvConfig& config() const { return config_; }
-
  private:
   double TerminalReward(size_t decided);
   void InitOptionState();

@@ -103,8 +103,6 @@ class RewriteSession {
     return cache;
   }
 
-  size_t num_caches() const { return caches_.size(); }
-
   /// Episode caches allocated so far (the service walks these after serving
   /// to publish newly collected selectivities back to the shared store).
   const std::deque<SelectivityCache>& caches() const { return caches_; }
@@ -124,7 +122,6 @@ class RewriteSession {
   /// serve call's stack. nullptr (the default) keeps profiling off with a
   /// single pointer check per would-be span.
   void BindProfiler(QueryProfiler* profiler) { profiler_ = profiler; }
-  QueryProfiler* profiler() const { return profiler_; }
 
   // --- online learning plane binding ---------------------------------------
 

@@ -23,8 +23,6 @@ class CostModel {
   /// Join portion; zero when `cards.has_join` is false.
   double JoinTimeMs(const PlanCards& cards) const;
 
-  const EngineProfile& profile() const { return profile_; }
-
  private:
   EngineProfile profile_;
 };

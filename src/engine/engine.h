@@ -132,7 +132,6 @@ class Engine {
   /// factors). True execution always uses cost_model().
   const CostModel& planner_cost_model() const { return planner_cost_model_; }
   const Optimizer& optimizer() const { return *optimizer_; }
-  uint64_t seed() const { return seed_; }
 
  private:
   friend class Executor;

@@ -162,14 +162,4 @@ std::optional<double> TableHistograms::Estimate(const Predicate& pred) const {
   return std::nullopt;
 }
 
-const ColumnHistogram* TableHistograms::Numeric(const std::string& column) const {
-  auto it = numeric_.find(column);
-  return it == numeric_.end() ? nullptr : &it->second;
-}
-
-const SpatialGridHistogram* TableHistograms::Spatial(const std::string& column) const {
-  auto it = spatial_.find(column);
-  return it == spatial_.end() ? nullptr : &it->second;
-}
-
 }  // namespace maliva

@@ -50,9 +50,6 @@ class ColumnHistogram {
   /// Selectivity of [lo, hi] under the per-bucket uniformity assumption.
   double EstimateRange(double lo, double hi) const;
 
-  size_t buckets() const { return counts_.size(); }
-  size_t rows() const { return rows_; }
-
  private:
   /// Continuous CDF: rows with value <= x, interpolated inside the bucket.
   double CdfAt(double x) const;
@@ -74,10 +71,6 @@ class SpatialGridHistogram {
 
   /// Selectivity of `box` under the per-cell uniformity assumption.
   double EstimateBox(const BoundingBox& box) const;
-
-  size_t cells() const { return cells_; }
-  size_t rows() const { return rows_; }
-  const BoundingBox& bounds() const { return bounds_; }
 
  private:
   /// Continuous summed-area lookup: mass of [0, u) x [0, v) in cell units.
@@ -101,9 +94,6 @@ class TableHistograms {
   /// O(1) estimate for `pred`, or nullopt when no histogram covers it
   /// (keyword predicates, unknown columns).
   std::optional<double> Estimate(const Predicate& pred) const;
-
-  const ColumnHistogram* Numeric(const std::string& column) const;
-  const SpatialGridHistogram* Spatial(const std::string& column) const;
 
  private:
   std::unordered_map<std::string, ColumnHistogram> numeric_;

@@ -29,10 +29,6 @@ class EquiDepthHistogram {
   /// Estimated fraction of rows with value in [lo, hi] (inclusive).
   double EstimateSelectivity(double lo, double hi) const;
 
-  size_t num_buckets() const { return bounds_.empty() ? 0 : bounds_.size() - 1; }
-  double min() const { return bounds_.empty() ? 0.0 : bounds_.front(); }
-  double max() const { return bounds_.empty() ? 0.0 : bounds_.back(); }
-
  private:
   // bounds_[i], bounds_[i+1] delimit bucket i; each bucket holds ~1/num_buckets
   // of the rows.
@@ -52,8 +48,6 @@ class GridHistogram2D {
   /// Estimated fraction of rows inside `box`, assuming uniformity within
   /// each grid cell (fractional-coverage interpolation).
   double EstimateSelectivity(const BoundingBox& box) const;
-
-  const BoundingBox& bounds() const { return bounds_; }
 
  private:
   BoundingBox bounds_;
@@ -76,7 +70,6 @@ class TextStats {
   bool IsCommon(const std::string& keyword) const {
     return mcv_.count(keyword) > 0;
   }
-  size_t mcv_size() const { return mcv_.size(); }
 
  private:
   std::unordered_map<std::string, double> mcv_;  // token -> selectivity

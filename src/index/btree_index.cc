@@ -6,7 +6,7 @@
 
 namespace maliva {
 
-BTreeIndex::BTreeIndex(const Table& table, const std::string& column) : column_(column) {
+BTreeIndex::BTreeIndex(const Table& table, const std::string& column) {
   const Column& col = table.GetColumn(column);
   size_t n = table.NumRows();
   std::vector<size_t> order(n);

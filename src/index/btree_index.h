@@ -21,9 +21,6 @@ class BTreeIndex {
   /// Builds the index over `table[column]`. The column must be numeric.
   BTreeIndex(const Table& table, const std::string& column);
 
-  const std::string& column() const { return column_; }
-  size_t size() const { return keys_.size(); }
-
   /// Number of rows with key in [lo, hi] (inclusive).
   size_t RangeCount(double lo, double hi) const;
 
@@ -38,7 +35,6 @@ class BTreeIndex {
   /// [first, last) positions in the sorted run covering [lo, hi].
   std::pair<size_t, size_t> EqualRange(double lo, double hi) const;
 
-  std::string column_;
   std::vector<double> keys_;   // sorted
   std::vector<RowId> rows_;    // rows_[i] holds keys_[i]
 };

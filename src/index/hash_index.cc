@@ -2,7 +2,7 @@
 
 namespace maliva {
 
-HashIndex::HashIndex(const Table& table, const std::string& column) : column_(column) {
+HashIndex::HashIndex(const Table& table, const std::string& column) {
   const Column& col = table.GetColumn(column);
   const std::vector<int64_t>& keys = col.AsInt64();
   for (RowId row = 0; row < keys.size(); ++row) {

@@ -16,15 +16,12 @@ class HashIndex {
  public:
   HashIndex(const Table& table, const std::string& column);
 
-  const std::string& column() const { return column_; }
-
   /// Rows holding `key`; empty when absent. Reference valid for index lifetime.
   const RowIdList& Lookup(int64_t key) const;
 
   size_t DistinctKeys() const { return buckets_.size(); }
 
  private:
-  std::string column_;
   std::unordered_map<int64_t, RowIdList> buckets_;
   RowIdList empty_;
 };

@@ -6,8 +6,7 @@
 
 namespace maliva {
 
-InvertedIndex::InvertedIndex(const Table& table, const std::string& column)
-    : column_(column) {
+InvertedIndex::InvertedIndex(const Table& table, const std::string& column) {
   const Column& col = table.GetColumn(column);
   const std::vector<std::string>& texts = col.AsText();
   for (RowId row = 0; row < texts.size(); ++row) {

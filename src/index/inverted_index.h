@@ -18,8 +18,6 @@ class InvertedIndex {
  public:
   InvertedIndex(const Table& table, const std::string& column);
 
-  const std::string& column() const { return column_; }
-
   /// Postings for `keyword` (lower-cased exact token match). Empty list when
   /// the token never occurs. The reference stays valid for the index lifetime.
   const RowIdList& Lookup(const std::string& keyword) const;
@@ -31,7 +29,6 @@ class InvertedIndex {
   size_t VocabularySize() const { return postings_.size(); }
 
  private:
-  std::string column_;
   std::unordered_map<std::string, RowIdList> postings_;
   RowIdList empty_;
 };

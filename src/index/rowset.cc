@@ -31,11 +31,4 @@ const RowIdList& IntersectAll(std::vector<const RowIdList*> lists, RowIdList* ou
   return *out;
 }
 
-RowIdList UnionSorted(const RowIdList& a, const RowIdList& b) {
-  RowIdList out;
-  out.reserve(a.size() + b.size());
-  std::set_union(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(out));
-  return out;
-}
-
 }  // namespace maliva

@@ -23,9 +23,6 @@ RowIdList IntersectSorted(const RowIdList& a, const RowIdList& b);
 /// written to `*out` and `*out` is returned (empty when `lists` is empty).
 const RowIdList& IntersectAll(std::vector<const RowIdList*> lists, RowIdList* out);
 
-/// Union of two sorted lists.
-RowIdList UnionSorted(const RowIdList& a, const RowIdList& b);
-
 }  // namespace maliva
 
 #endif  // MALIVA_INDEX_ROWSET_H_

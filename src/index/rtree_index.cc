@@ -7,7 +7,7 @@
 
 namespace maliva {
 
-RTreeIndex::RTreeIndex(const Table& table, const std::string& column) : column_(column) {
+RTreeIndex::RTreeIndex(const Table& table, const std::string& column) {
   const Column& col = table.GetColumn(column);
   const std::vector<GeoPoint>& pts = col.AsPoint();
   size_t n = pts.size();

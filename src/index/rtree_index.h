@@ -20,7 +20,6 @@ class RTreeIndex {
   /// Builds the tree over `table[column]` (must be a point column).
   RTreeIndex(const Table& table, const std::string& column);
 
-  const std::string& column() const { return column_; }
   size_t size() const { return points_.size(); }
 
   /// Sorted row ids whose point lies inside `box` (inclusive).
@@ -59,7 +58,6 @@ class RTreeIndex {
   void Traverse(const BoundingBox& box, size_t node_idx, Visit&& visit) const;
   size_t CountNode(const BoundingBox& box, size_t node_idx) const;
 
-  std::string column_;
   std::vector<GeoPoint> points_;   // copy of indexed points, by entry slot
   std::vector<RowId> entry_rows_;  // row id per entry slot
   std::vector<Node> nodes_;        // packed bottom-up; root is nodes_.back()

@@ -1,25 +1,21 @@
-// Versioned, immutable snapshot of a trained agent's networks.
+// Versioned, immutable record of a published agent model's lineage.
 //
 // The online learning plane (DESIGN.md "Online learning plane") never mutates
 // a serving agent in place: retraining fine-tunes a *clone* and publishes the
-// result as a new AgentSnapshot. A snapshot owns copies of the online/target
-// networks (Adam state included, so fine-tuning can resume from it), the
-// exploration schedule the weights were trained under, and the training
-// metadata operators need to audit a model's lineage. Snapshots are immutable
-// after construction and shared via shared_ptr — publish is one pointer swap,
-// and requests holding an old snapshot keep serving it race-free while a new
+// result as a new version. An AgentSnapshot carries that version's metadata:
+// the exploration schedule the weights were trained under and the training
+// lineage operators need to audit a model. Snapshots are immutable after
+// construction and shared via shared_ptr — publish is one pointer swap, and
+// requests holding an old version keep serving it race-free while a new
 // version goes live.
 //
 // Layering: this file knows nothing about agents or serving. The service
-// layer's ModelRegistry pairs each snapshot with a materialized QAgent.
+// layer's ModelRegistry pairs each snapshot with the QAgent it describes.
 
 #ifndef MALIVA_ML_AGENT_SNAPSHOT_H_
 #define MALIVA_ML_AGENT_SNAPSHOT_H_
 
 #include <cstdint>
-#include <utility>
-
-#include "ml/mlp.h"
 
 namespace maliva {
 
@@ -47,27 +43,17 @@ struct AgentSnapshotMeta {
   double validation_vqp = 0.0;
 };
 
-/// Immutable record of one published model version: the Q-network pair plus
-/// its lineage. Copies of the networks are taken at construction, so the
-/// source agent may keep training after the snapshot is cut.
+/// Immutable record of one published model version's lineage.
 class AgentSnapshot {
  public:
-  AgentSnapshot(Mlp online, Mlp target, AgentSnapshotMeta meta)
-      : online_(std::move(online)), target_(std::move(target)), meta_(meta) {}
+  explicit AgentSnapshot(AgentSnapshotMeta meta) : meta_(meta) {}
 
   AgentSnapshot(const AgentSnapshot&) = delete;
   AgentSnapshot& operator=(const AgentSnapshot&) = delete;
 
-  const Mlp& online() const { return online_; }
-  const Mlp& target() const { return target_; }
   const AgentSnapshotMeta& meta() const { return meta_; }
 
-  /// Total parameters across both networks (operator telemetry).
-  size_t NumParameters() const;
-
  private:
-  Mlp online_;
-  Mlp target_;
   AgentSnapshotMeta meta_;
 };
 

@@ -184,12 +184,4 @@ void Mlp::CopyParamsFrom(const Mlp& other) {
   }
 }
 
-size_t Mlp::NumParameters() const {
-  size_t n = 0;
-  for (const LinearLayer& layer : layers_) {
-    n += layer.in_dim() * layer.out_dim() + layer.out_dim();
-  }
-  return n;
-}
-
 }  // namespace maliva

@@ -78,8 +78,6 @@ class Mlp {
   /// Copies all parameters from `other` (target-network sync).
   void CopyParamsFrom(const Mlp& other);
 
-  size_t NumParameters() const;
-
   const std::vector<LinearLayer>& layers() const { return layers_; }
 
  private:

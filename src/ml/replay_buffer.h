@@ -33,7 +33,6 @@ class ReplayBuffer {
   std::vector<const Experience*> Sample(size_t k, Rng* rng) const;
 
   size_t size() const { return items_.size(); }
-  size_t capacity() const { return capacity_; }
 
  private:
   size_t capacity_;

@@ -6,13 +6,13 @@
 
 namespace maliva {
 
-ShardedReplaySink::ShardedReplaySink(Config config)
-    : capacity_(std::max<size_t>(1, config.capacity)) {
-  size_t shards = std::max<size_t>(1, std::min(config.shards, capacity_));
+ShardedReplaySink::ShardedReplaySink(Config config) {
+  const size_t capacity = std::max<size_t>(1, config.capacity);
+  size_t shards = std::max<size_t>(1, std::min(config.shards, capacity));
   // Round *up*: the sink may hold slightly more than `capacity` but never
   // less — an effective capacity below the configured one could silently
   // starve a retrain trigger set near it.
-  per_shard_capacity_ = (capacity_ + shards - 1) / shards;
+  per_shard_capacity_ = (capacity + shards - 1) / shards;
   shards_.reserve(shards);
   for (size_t i = 0; i < shards; ++i) shards_.push_back(std::make_unique<Shard>());
 }

@@ -58,16 +58,12 @@ class ShardedReplaySink {
   uint64_t TotalAppended() const { return appended_.load(std::memory_order_relaxed); }
   uint64_t TotalDropped() const { return dropped_.load(std::memory_order_relaxed); }
 
-  size_t capacity() const { return capacity_; }
-  size_t num_shards() const { return shards_.size(); }
-
  private:
   struct Shard {
     std::mutex mutex;
     std::deque<Experience> items;
   };
 
-  size_t capacity_;
   size_t per_shard_capacity_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<uint64_t> next_shard_{0};

@@ -38,8 +38,6 @@ class PlanTimeOracle {
     return cache_.size();
   }
 
-  const Engine* engine() const { return engine_; }
-
  private:
   const Engine* engine_;
   mutable std::shared_mutex mutex_;

@@ -70,12 +70,4 @@ size_t SharedSelectivityStore::Size() const {
   return total;
 }
 
-void SharedSelectivityStore::Clear() {
-  for (std::unique_ptr<Shard>& shard : shards_) {
-    std::unique_lock<std::shared_mutex> lock(shard->mutex);
-    shard->entries.clear();
-    shard->fifo.clear();
-  }
-}
-
 }  // namespace maliva

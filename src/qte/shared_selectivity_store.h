@@ -79,11 +79,6 @@ class SharedSelectivityStore {
   /// Entries dropped by per-shard FIFO eviction so far.
   size_t Evictions() const { return evictions_.load(std::memory_order_relaxed); }
 
-  /// Drops every resident entry (all epochs). Not needed for correctness —
-  /// epoch mismatches already read as misses — but reclaims memory after a
-  /// stats refresh.
-  void Clear();
-
   size_t capacity() const { return capacity_; }
   size_t num_shards() const { return shards_.size(); }
 

@@ -1,8 +1,6 @@
 #include "quality/quality.h"
 
-#include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <mutex>
 #include <unordered_set>
 
@@ -30,29 +28,6 @@ double JaccardBins(const VisResult& a, const VisResult& b) {
   size_t uni = a.bins.size() + b.bins.size() - inter;
   if (uni == 0) return 1.0;
   return static_cast<double>(inter) / static_cast<double>(uni);
-}
-
-double DistributionPrecision(const VisResult& exact, const VisResult& approx) {
-  double total_exact = 0.0;
-  double total_approx = 0.0;
-  for (const auto& [bin, count] : exact.bins) total_exact += static_cast<double>(count);
-  for (const auto& [bin, count] : approx.bins) total_approx += static_cast<double>(count);
-  if (total_exact == 0.0 && total_approx == 0.0) return 1.0;
-  if (total_exact == 0.0 || total_approx == 0.0) return 0.0;
-
-  double l1 = 0.0;
-  for (const auto& [bin, count] : exact.bins) {
-    double pe = static_cast<double>(count) / total_exact;
-    auto it = approx.bins.find(bin);
-    double pa = it == approx.bins.end()
-                    ? 0.0
-                    : static_cast<double>(it->second) / total_approx;
-    l1 += std::abs(pe - pa);
-  }
-  for (const auto& [bin, count] : approx.bins) {
-    if (exact.bins.count(bin) == 0) l1 += static_cast<double>(count) / total_approx;
-  }
-  return std::max(0.0, 1.0 - 0.5 * l1);
 }
 
 double VisQuality(const Query& query, const VisResult& exact, const VisResult& approx) {

@@ -2,8 +2,7 @@
 //
 // Maliva places no restriction on the quality function; we provide the
 // Jaccard similarity used by the paper's experiments (Fig 9, Section 7.7)
-// over both scatterplot ids and heatmap bins, plus the distribution-precision
-// metric of Sample+Seek for aggregate visualizations.
+// over both scatterplot ids and heatmap bins.
 
 #ifndef MALIVA_QUALITY_QUALITY_H_
 #define MALIVA_QUALITY_QUALITY_H_
@@ -23,10 +22,6 @@ double JaccardIds(const VisResult& a, const VisResult& b);
 
 /// Jaccard similarity of the non-empty bin sets (heatmap visualizations).
 double JaccardBins(const VisResult& a, const VisResult& b);
-
-/// Distribution precision (Sample+Seek style): 1 - 0.5 * L1 distance between
-/// the normalized bin-count distributions.
-double DistributionPrecision(const VisResult& exact, const VisResult& approx);
 
 /// Dispatches on the query's output kind: Jaccard over ids for scatterplots,
 /// Jaccard over bins for heatmaps. Exact results score 1.

@@ -48,16 +48,6 @@ Status AdmissionConfig::Validate() const {
   return Status::OK();
 }
 
-const char* AdmissionDecisionName(AdmissionDecision decision) {
-  switch (decision) {
-    case AdmissionDecision::kAdmit: return "admit";
-    case AdmissionDecision::kDegrade: return "degrade";
-    case AdmissionDecision::kShedDeadline: return "shed-deadline";
-    case AdmissionDecision::kShedOverload: return "shed-overload";
-  }
-  return "unknown";
-}
-
 AdmissionController::AdmissionController(AdmissionConfig config)
     : config_(std::move(config)), serve_estimate_ms_(config_.initial_serve_estimate_ms) {}
 

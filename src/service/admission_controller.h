@@ -107,8 +107,6 @@ enum class AdmissionDecision {
   kShedOverload,
 };
 
-const char* AdmissionDecisionName(AdmissionDecision decision);
-
 /// The decision-making half of the overload control plane. Thread-safe: the
 /// EWMA sits behind a mutex, Decide() reads one snapshot of the estimate.
 /// Deadlines and decisions are pure functions of their inputs. Verdicts are
@@ -116,8 +114,6 @@ const char* AdmissionDecisionName(AdmissionDecision decision);
 class AdmissionController {
  public:
   explicit AdmissionController(AdmissionConfig config);
-
-  const AdmissionConfig& config() const { return config_; }
 
   /// Absolute deadline (caller timeline) for a request arriving at
   /// `arrival_ms` with effective budget `tau_ms`.

@@ -122,9 +122,6 @@ class ContinualTrainer {
 
   StatsSnapshot Snapshot() const;
 
-  ModelRegistry* registry() const { return registry_; }
-  const Config& config() const { return config_; }
-
  private:
   struct KeyState {
     KeyState(std::string key_in, RewriterEnv renv_in,

@@ -10,12 +10,8 @@ PublishedModel ModelRegistry::Publish(const std::string& key,
                                       std::unique_ptr<const QAgent> agent,
                                       AgentSnapshotMeta meta,
                                       uint64_t expected_parent_version) {
-  // Cut the snapshot outside the lock: copying the (tiny) networks is the
-  // only non-O(1) work, and the agent is exclusively ours until published.
   PublishedModel model;
   model.agent = std::shared_ptr<const QAgent>(std::move(agent));
-  Mlp online = model.agent->online_net();
-  Mlp target = model.agent->target_net();
 
   std::unique_lock<std::shared_mutex> lock(mutex_);
   Chain& chain = chains_[key];
@@ -26,8 +22,7 @@ PublishedModel ModelRegistry::Publish(const std::string& key,
     if (current != expected_parent_version) return PublishedModel{};
   }
   meta.version = chain.next_version++;
-  model.snapshot =
-      std::make_shared<const AgentSnapshot>(std::move(online), std::move(target), meta);
+  model.snapshot = std::make_shared<const AgentSnapshot>(meta);
   chain.versions.push_back(model);
   // Bound the chain: keep version 1 (the rollback floor) and the newest
   // versions; prune the oldest middle. Readers holding a pruned version
@@ -76,15 +71,6 @@ uint64_t ModelRegistry::MaxVersion() const {
     }
   }
   return max_version;
-}
-
-std::vector<std::string> ModelRegistry::Keys() const {
-  std::shared_lock<std::shared_mutex> lock(mutex_);
-  std::vector<std::string> keys;
-  keys.reserve(chains_.size());
-  for (const auto& [key, chain] : chains_) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-  return keys;
 }
 
 }  // namespace maliva

@@ -28,9 +28,9 @@
 
 namespace maliva {
 
-/// One published model version: the immutable snapshot record (weights +
-/// lineage) plus its serve-ready QAgent materialization. Both pointers are
-/// set, or both null (unknown key).
+/// One published model version: the immutable snapshot record (lineage)
+/// plus its serve-ready QAgent. Both pointers are set, or both null (unknown
+/// key).
 struct PublishedModel {
   std::shared_ptr<const AgentSnapshot> snapshot;
   std::shared_ptr<const QAgent> agent;
@@ -55,7 +55,7 @@ class ModelRegistry {
 
   /// Publishes `agent` as the new current version of `key`. Assigns
   /// `meta.version` (monotonic per key from 1; rollbacks never reuse a
-  /// version number) and cuts the AgentSnapshot from the agent's networks.
+  /// version number) and records it in the version's AgentSnapshot.
   /// Returns the published model.
   ///
   /// When `expected_parent_version` is nonzero, the publish is conditional:
@@ -86,8 +86,6 @@ class ModelRegistry {
   /// Highest current version across every key (0 when empty) — the Stats()
   /// "snapshot version" headline.
   uint64_t MaxVersion() const;
-
-  std::vector<std::string> Keys() const;
 
   /// Chain bound in effect (post-clamp).
   size_t max_retained_per_key() const { return max_retained_per_key_; }

@@ -51,11 +51,10 @@ class RewriterFactory {
   Result<std::unique_ptr<Rewriter>> Create(const std::string& name,
                                            MalivaService& service) const;
 
-  /// All registered strategy keys, sorted.
+  /// All registered strategy keys, sorted. A given service may still fail
+  /// to build some of them (e.g. "quality/*" without approx_rules) — Serve
+  /// reports that per request as a Status.
   std::vector<std::string> KnownStrategies() const;
-
-  /// Deprecated alias of KnownStrategies().
-  std::vector<std::string> Names() const { return KnownStrategies(); }
 
  private:
   /// Comma-separated KnownStrategies(), for error messages.

@@ -392,10 +392,6 @@ Status MalivaService::Warmup() {
   return Status::OK();
 }
 
-std::vector<std::string> MalivaService::RegisteredStrategies() const {
-  return RewriterFactory::Global().KnownStrategies();
-}
-
 namespace {
 
 /// The strategy serving `request`: its own, else the configured default.

@@ -368,11 +368,6 @@ class MalivaService {
   /// recorded in the service's counters exactly like a served request.
   std::optional<RewriteResponse> TryServeCached(const RewriteRequest& request) const;
 
-  /// Strategy names registered in the global factory. A given instance may
-  /// still fail to build some of them (e.g. "quality/*" without approx_rules
-  /// configured) — Serve reports that per request as a Status.
-  std::vector<std::string> RegisteredStrategies() const;
-
   /// Snapshot of the serving counters (requests, errors, fallbacks, shared
   /// hits vs local collections, cache and gate outcomes, wall latency),
   /// read from the registry handles, plus the shared store's size,
@@ -428,7 +423,6 @@ class MalivaService {
 
   const AccurateQte* accurate_qte() const { return state_.accurate_qte.get(); }
   const SamplingQte* sampling_qte() const { return state_.sampling_qte.get(); }
-  const QualityOracle* quality_oracle() const { return state_.quality_oracle.get(); }
 
   /// Trains `num_agent_seeds` agents on the scenario's training split, keeps
   /// the best by validation VQP (validating only when there are two or more

@@ -86,19 +86,6 @@ std::vector<std::shared_ptr<Shard>> ShardRouter::List() const {
   return shards;  // std::map iteration order is already sorted by id
 }
 
-std::vector<std::string> ShardRouter::Ids() const {
-  std::shared_lock<std::shared_mutex> lock(mutex_);
-  std::vector<std::string> ids;
-  ids.reserve(shards_.size());
-  for (const auto& [id, shard] : shards_) ids.push_back(id);
-  return ids;
-}
-
-size_t ShardRouter::Size() const {
-  std::shared_lock<std::shared_mutex> lock(mutex_);
-  return shards_.size();
-}
-
 std::shared_ptr<Shard> ShardRouter::Sole() const {
   std::shared_lock<std::shared_mutex> lock(mutex_);
   if (shards_.size() != 1) return nullptr;

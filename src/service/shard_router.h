@@ -131,18 +131,13 @@ class ShardRouter {
   /// Every registered shard, ordered by id.
   std::vector<std::shared_ptr<Shard>> List() const;
 
-  /// Registered scenario ids, sorted.
-  std::vector<std::string> Ids() const;
-
-  size_t Size() const;
-
-  /// The sole registered shard, or null when Size() != 1. Empty routing keys
-  /// resolve through this: a single-shard fleet behaves like a standalone
-  /// service with no per-request routing ceremony.
+  /// The sole registered shard, or null unless exactly one is registered.
+  /// Empty routing keys resolve through this: a single-shard fleet behaves
+  /// like a standalone service with no per-request routing ceremony.
   std::shared_ptr<Shard> Sole() const;
 
-  /// Comma-separated Ids() ("(none registered)" when empty) — the one
-  /// formatter behind every routing error message.
+  /// Comma-separated registered ids, sorted ("(none registered)" when
+  /// empty) — the one formatter behind every routing error message.
   std::string IdsList() const;
 
  private:

@@ -128,8 +128,6 @@ class SloWatchdog {
   std::vector<SloStatus> Evaluate(
       const std::vector<MetricsFlusher::Window>& windows) const;
 
-  const SloConfig& config() const { return config_; }
-
  private:
   SloConfig config_;
 };

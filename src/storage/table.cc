@@ -24,18 +24,6 @@ const Column& Table::GetColumn(const std::string& name) const {
   return columns_[idx.value()];
 }
 
-Status Table::FinishRow() {
-  size_t expect = num_rows_ + 1;
-  for (const Column& col : columns_) {
-    if (col.size() != expect) {
-      return Status::FailedPrecondition("column '" + col.name() +
-                                        "' not appended before FinishRow");
-    }
-  }
-  num_rows_ = expect;
-  return Status::OK();
-}
-
 Status Table::Seal() {
   if (columns_.empty()) {
     num_rows_ = 0;

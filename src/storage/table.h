@@ -42,9 +42,6 @@ class Table {
   const Column& ColumnAt(size_t idx) const { return columns_[idx]; }
   Column& MutableColumnAt(size_t idx) { return columns_[idx]; }
 
-  /// Declares one row fully appended across all columns. Verifies lengths.
-  Status FinishRow();
-
   /// Verifies all columns have equal length and fixes the row count.
   Status Seal();
 

@@ -67,7 +67,6 @@ class Counter {
 class Gauge {
  public:
   void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
-  void Add(int64_t delta) { value_.fetch_add(delta, std::memory_order_relaxed); }
   int64_t Value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
@@ -143,8 +142,6 @@ class LatencyHistogram {
     }
   }
 
-  uint64_t Count() const { return count_.load(std::memory_order_relaxed); }
-
   /// Sum of every recorded sample, each rounded to its microsecond tick
   /// (the Snapshot's sum_ms without walking the buckets).
   double SumMs() const {
@@ -205,8 +202,6 @@ struct MetricsSnapshot {
   std::vector<GaugeRow> gauges;
   std::vector<HistogramRow> histograms;
 
-  bool empty() const { return counters.empty() && gauges.empty() && histograms.empty(); }
-
   /// Adds every series of `other` into this snapshot: matching (name,
   /// labels) series sum (counters and histograms) or take `other`'s value
   /// (gauges); unmatched series are inserted. Keeps rows sorted.
@@ -256,8 +251,6 @@ class MetricsRegistry {
   MetricsSnapshot Snapshot() const;
   std::string RenderPrometheus() const { return Snapshot().RenderPrometheus(); }
   std::string RenderJson() const { return Snapshot().RenderJson(); }
-
-  const MetricLabels& base_labels() const { return base_labels_; }
 
  private:
   template <typename T>
@@ -311,8 +304,6 @@ class MetricsFlusher {
 
   /// The retained windows, oldest first. Thread-safe copy.
   std::vector<Window> Windows() const;
-
-  size_t max_windows() const { return max_windows_; }
 
  private:
   void Loop();

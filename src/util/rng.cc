@@ -5,11 +5,6 @@
 
 namespace maliva {
 
-int64_t Rng::Zipf(int64_t n, double theta) {
-  ZipfTable table(n, theta);
-  return table.Sample(this);
-}
-
 std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {
   assert(k <= n);
   // Floyd's algorithm would avoid the O(n) init, but n is small in all of our

@@ -43,12 +43,6 @@ class Rng {
   /// True with probability p.
   bool Bernoulli(double p) { return std::bernoulli_distribution(p)(gen_); }
 
-  /// Zipfian rank in [0, n): rank r drawn with weight 1/(r+1)^theta.
-  /// Uses rejection-inversion-free CDF sampling over a cached table when n is
-  /// small would be overkill; this linear fallback is O(n) per *construction*
-  /// via ZipfTable below — prefer ZipfTable for hot paths.
-  int64_t Zipf(int64_t n, double theta);
-
   /// Exponential with the given rate (lambda).
   double Exponential(double rate) {
     return std::exponential_distribution<double>(rate)(gen_);
@@ -63,8 +57,6 @@ class Rng {
   /// k distinct indices sampled uniformly from [0, n). Requires k <= n.
   std::vector<size_t> SampleWithoutReplacement(size_t n, size_t k);
 
-  std::mt19937_64& generator() { return gen_; }
-
  private:
   std::mt19937_64 gen_;
 };
@@ -76,8 +68,6 @@ class ZipfTable {
 
   /// Draws a rank in [0, n).
   int64_t Sample(Rng* rng) const;
-
-  int64_t size() const { return static_cast<int64_t>(cdf_.size()); }
 
  private:
   std::vector<double> cdf_;

@@ -7,7 +7,6 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -367,18 +366,6 @@ std::string ReplayReport::ToJson() const {
   AppendF(&out, ", \"digest\": \"%016llx\"}",
           static_cast<unsigned long long>(digest));
   return out;
-}
-
-Status ReplayReport::WriteJson(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return Status::Internal("replay: cannot open " + path + " for writing");
-  }
-  std::string text = "{\"report\": " + ToJson() + "}\n";
-  out.write(text.data(), static_cast<std::streamsize>(text.size()));
-  out.close();
-  if (!out) return Status::Internal("replay: short write to " + path);
-  return Status::OK();
 }
 
 }  // namespace maliva

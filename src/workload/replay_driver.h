@@ -115,8 +115,6 @@ struct ReplayReport {
   /// BENCH_*.json phase entry. Omits record_digests (bulk); carries the
   /// combined digest as hex.
   std::string ToJson() const;
-  /// Writes `{"trace": ..., "report": <ToJson()>}` to `path`.
-  Status WriteJson(const std::string& path) const;
 };
 
 /// Drives traces through a borrowed fleet (which must outlive the driver).

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cerrno>
 #include <cmath>
 #include <cstdarg>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -30,6 +33,37 @@ Status CheckId(const char* what, const std::string& id) {
     if (c == ' ' || c == '\t' || c == '\n' || c == '\r') return BadId(what, id);
   }
   return Status::OK();
+}
+
+// Unsigned fields are scanned as digit runs ("%20[0-9]"): %u/%llu would
+// accept a sign and wrap "-1" to the type's maximum. Rejects runs that
+// overflow `max`.
+bool ParseUnsigned(const char* digits, unsigned long long max,
+                   unsigned long long* out) {
+  errno = 0;
+  char* end = nullptr;
+  unsigned long long value = std::strtoull(digits, &end, 10);
+  if (errno == ERANGE || *end != '\0' || value > max) return false;
+  *out = value;
+  return true;
+}
+
+bool ParseU32(const char* digits, uint32_t* out) {
+  unsigned long long value = 0;
+  if (!ParseUnsigned(digits, UINT32_MAX, &value)) return false;
+  *out = static_cast<uint32_t>(value);
+  return true;
+}
+
+// sscanf over a whole line: `fmt` converts one field per argument and ends
+// in "%n"; the line parses only when every field converts and nothing
+// trails them.
+template <typename... Args>
+bool ScanLine(const std::string& line, const char* fmt, Args*... fields) {
+  int consumed = -1;
+  return sscanf(line.c_str(), fmt, fields..., &consumed) ==
+             static_cast<int>(sizeof...(fields)) &&
+         consumed == static_cast<int>(line.size());
 }
 
 void AppendF(std::string* out, const char* fmt, ...) {
@@ -152,26 +186,29 @@ Result<Trace> Trace::Deserialize(const std::string& text) {
   Trace t;
   if (!next() || line.rfind("name ", 0) != 0) return fail("expected \"name ...\"");
   t.name = line.substr(5);
+  char digits[2][21];
   unsigned long long seed = 0;
-  if (!next() || sscanf(line.c_str(), "seed %llu", &seed) != 1) {
+  if (!next() || !ScanLine(line, "seed %20[0-9]%n", digits[0]) ||
+      !ParseUnsigned(digits[0], UINT64_MAX, &seed)) {
     return fail("expected \"seed <u64>\"");
   }
   t.seed = seed;
 
-  size_t num_streams = 0;
-  if (!next() || sscanf(line.c_str(), "streams %zu", &num_streams) != 1) {
+  unsigned long long num_streams = 0;
+  if (!next() || !ScanLine(line, "streams %20[0-9]%n", digits[0]) ||
+      !ParseUnsigned(digits[0], SIZE_MAX, &num_streams)) {
     return fail("expected \"streams <n>\"");
   }
   // Header counts are untrusted: every entry takes at least one line of
   // `text`, so its size bounds what an honest count can reserve.
-  t.streams.reserve(std::min(num_streams, text.size()));
+  t.streams.reserve(std::min<size_t>(num_streams, text.size()));
   for (size_t i = 0; i < num_streams; ++i) {
     if (!next()) return fail("truncated stream table");
     char scenario[128], strategy[128];
     TraceStream s;
-    if (sscanf(line.c_str(), "stream %127s %127s %lg %lg %lg %u", scenario,
-               strategy, &s.tau_ms, &s.quality_floor, &s.weight,
-               &s.num_queries) != 6) {
+    if (!ScanLine(line, "stream %127s %127s %lg %lg %lg %10[0-9]%n", scenario,
+                  strategy, &s.tau_ms, &s.quality_floor, &s.weight, digits[0]) ||
+        !ParseU32(digits[0], &s.num_queries)) {
       return fail("malformed stream line");
     }
     s.scenario = IdFromToken(scenario);
@@ -179,21 +216,24 @@ Result<Trace> Trace::Deserialize(const std::string& text) {
     t.streams.push_back(std::move(s));
   }
 
-  size_t num_records = 0;
-  if (!next() || sscanf(line.c_str(), "records %zu", &num_records) != 1) {
+  unsigned long long num_records = 0;
+  if (!next() || !ScanLine(line, "records %20[0-9]%n", digits[0]) ||
+      !ParseUnsigned(digits[0], SIZE_MAX, &num_records)) {
     return fail("expected \"records <n>\"");
   }
-  t.records.reserve(std::min(num_records, text.size()));
+  t.records.reserve(std::min<size_t>(num_records, text.size()));
   for (size_t i = 0; i < num_records; ++i) {
     if (!next()) return fail("truncated record list");
     TraceRecord r;
-    if (sscanf(line.c_str(), "%u %u %lg", &r.stream, &r.query_index,
-               &r.arrival_ms) != 3) {
+    if (!ScanLine(line, "%10[0-9] %10[0-9] %lg%n", digits[0], digits[1],
+                  &r.arrival_ms) ||
+        !ParseU32(digits[0], &r.stream) || !ParseU32(digits[1], &r.query_index)) {
       return fail("malformed record line");
     }
     t.records.push_back(r);
   }
   if (!next() || line != "end") return fail("expected trailing \"end\"");
+  if (next()) return fail("unexpected text after \"end\"");
   MALIVA_RETURN_NOT_OK(t.Validate());
   return t;
 }

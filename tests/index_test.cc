@@ -33,10 +33,6 @@ TEST(RowSetTest, IntersectAllSmallestFirst) {
   EXPECT_TRUE(IntersectAll({}, &out).empty());
 }
 
-TEST(RowSetTest, UnionSorted) {
-  EXPECT_EQ(UnionSorted({1, 3}, {2, 3, 4}), (RowIdList{1, 2, 3, 4}));
-}
-
 TEST(RowSetTest, IsSortedUnique) {
   EXPECT_TRUE(IsSortedUnique({}));
   EXPECT_TRUE(IsSortedUnique({1, 2, 9}));

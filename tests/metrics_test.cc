@@ -1,5 +1,4 @@
-// Metrics plane tests (ISSUE 10). Suite names carry "Metrics" so the
-// scripts/ci.sh sanitizer legs (-R '...|Metrics|TraceRing') run them.
+// Metrics plane tests (ISSUE 10).
 //
 // Covered contracts:
 //   * LatencyHistogram percentiles track an exact sorted-vector baseline

@@ -1,5 +1,5 @@
-// Quality-function tests: Jaccard over ids/bins, distribution precision,
-// and the caching QualityOracle.
+// Quality-function tests: Jaccard over ids/bins and the caching
+// QualityOracle.
 
 #include <gtest/gtest.h>
 
@@ -50,27 +50,6 @@ TEST(JaccardBinsTest, BinSetsNotCounts) {
   EXPECT_DOUBLE_EQ(JaccardBins(a, b), 1.0);  // same non-empty bins
   VisResult c = Bins({{0, 5}, {2, 5}});
   EXPECT_DOUBLE_EQ(JaccardBins(a, c), 1.0 / 3.0);
-}
-
-TEST(DistributionPrecisionTest, IdenticalDistributions) {
-  VisResult a = Bins({{0, 10}, {1, 30}});
-  EXPECT_NEAR(DistributionPrecision(a, a), 1.0, 1e-12);
-  // Scaled counts, same distribution.
-  VisResult b = Bins({{0, 1}, {1, 3}});
-  EXPECT_NEAR(DistributionPrecision(a, b), 1.0, 1e-12);
-}
-
-TEST(DistributionPrecisionTest, DisjointIsZero) {
-  VisResult a = Bins({{0, 10}});
-  VisResult b = Bins({{1, 10}});
-  EXPECT_NEAR(DistributionPrecision(a, b), 0.0, 1e-12);
-}
-
-TEST(DistributionPrecisionTest, EmptyEdgeCases) {
-  VisResult empty;
-  VisResult full = Bins({{0, 1}});
-  EXPECT_DOUBLE_EQ(DistributionPrecision(empty, empty), 1.0);
-  EXPECT_DOUBLE_EQ(DistributionPrecision(full, empty), 0.0);
 }
 
 TEST(VisQualityTest, DispatchesOnOutputKind) {

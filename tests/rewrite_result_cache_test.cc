@@ -2,8 +2,6 @@
 // module's single-flight / CLOCK / context-validation mechanics, the service
 // wiring (hit byte-identity, in-batch dedup, probe-only admission path), and
 // the invalidation races (catalog epoch + agent snapshot bumps mid-stream).
-// The suite names carry "ResultCache" so the scripts/ci.sh sanitizer legs
-// (-R '...|ResultCache') run them under TSan/ASan.
 
 #include <gtest/gtest.h>
 

@@ -1,7 +1,5 @@
-// Overload control plane tests. The suite names carry "Admission" so the
-// scripts/ci.sh sanitizer legs (-R 'Service|Concurrency|Fleet|Admission')
-// run them — the serve-under-overload stress test below is the TSan/ASan
-// coverage of the gate / scheduler / fleet interplay.
+// Overload control plane tests. The serve-under-overload stress test below
+// is the TSan/ASan coverage of the gate / scheduler / fleet interplay.
 //
 // Covered contracts:
 //   * DeadlineScheduler dispatches EDF within a lane, strict-priority across
@@ -19,7 +17,7 @@
 //   * admission off (the default) keeps the fleet's byte-identical
 //     ServeBatch contract at 1/4/8 threads, slice-equal to a standalone
 //     service — the plane's "default is inert" regression;
-//   * the bench's open-loop ArrivalGenerator is seed-deterministic,
+//   * the open-loop ArrivalGenerator is seed-deterministic,
 //     monotone, and hits its configured rate.
 
 #include <gtest/gtest.h>
@@ -27,15 +25,17 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "../bench/bench_common.h"
 #include "service/admission_controller.h"
 #include "service/deadline_scheduler.h"
 #include "service/service_fleet.h"
+#include "workload/arrival.h"
 
 namespace maliva {
 namespace {
@@ -456,6 +456,128 @@ TEST_F(AdmissionFleetTest, DestroyWithQueuedAsyncJobsFiresEveryCallbackOnce) {
   }
 }
 
+// Lifecycle stress (TSan/ASan leg): one shard of a gated two-shard fleet is
+// drained and evicted while admitted ServeAsync jobs for it are still queued
+// behind a held worker. Each queued job holds its shard, so it finishes on
+// the evicted stack; every `done` fires exactly once; the other shard keeps
+// serving; and the evicted stack is freed once its last job lets go.
+TEST_F(AdmissionFleetTest, EvictWithQueuedAsyncJobsFiresEveryCallbackOnce) {
+  constexpr size_t kQueued = 32;
+  constexpr size_t kTaxi = 8;
+  FleetConfig config = SmallFleetConfig(/*threads=*/1);
+  config.warmup_strategies = {"baseline"};
+  config.admission = {.enabled = true,
+                      .slack_factor = 1.0e6,
+                      .max_queue = 1 << 16,
+                      .initial_serve_estimate_ms = 0.01};
+  // Declared before the fleet: its destructor runs whatever is still queued.
+  std::vector<std::atomic<int>> completions(kQueued + kTaxi);
+  std::atomic<bool> holding{false};
+  std::atomic<bool> release{false};
+  std::atomic<size_t> finished_evicted{0};
+  std::weak_ptr<const MalivaService> evicted_stack;
+  MalivaFleet fleet(config);
+  // Frees the held worker on every exit, an early ASSERT return included,
+  // before the fleet's destructor joins it.
+  struct ReleaseOnExit {
+    std::atomic<bool>& flag;
+    ~ReleaseOnExit() { flag.store(true); }
+  } release_on_exit{release};
+  ASSERT_TRUE(fleet.RegisterScenario("twitter", twitter_).ok());
+  ASSERT_TRUE(fleet.RegisterScenario("taxi", taxi_).ok());
+  fleet.WaitWarmups();
+  {
+    Result<std::shared_ptr<const MalivaService>> service = fleet.ServiceFor("twitter");
+    ASSERT_TRUE(service.ok());
+    evicted_stack = service.value();
+  }
+
+  // Spins until `done()` holds; false after a minute (a lost callback).
+  auto wait_for = [](const std::function<bool()>& done) {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::minutes(1);
+    while (!done()) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::yield();
+    }
+    return true;
+  };
+
+  const std::thread::id test_thread = std::this_thread::get_id();
+  for (size_t i = 0; i < kQueued; ++i) {
+    Status st = fleet.ServeAsync(
+        TwitterRequest(i, "baseline"), [&, i](Result<RewriteResponse> response) {
+          EXPECT_TRUE(response.ok()) << response.status().ToString();
+          // The first completion holds the only worker, so every later job
+          // is still queued when the shard is drained and evicted.
+          if (i == 0 && std::this_thread::get_id() != test_thread) {
+            holding.store(true);
+            while (!release.load()) std::this_thread::yield();
+          } else if (fleet.ServiceFor("twitter").status().code() ==
+                         Status::Code::kNotFound &&
+                     !evicted_stack.expired()) {
+            finished_evicted.fetch_add(1);
+          }
+          completions[i].fetch_add(1);
+        });
+    EXPECT_TRUE(st.ok()) << st.ToString();
+  }
+  ASSERT_TRUE(wait_for([&] { return holding.load() || completions[0].load() > 0; }));
+  EXPECT_EQ(fleet.Stats().admission.queue_depth, kQueued - 1);
+
+  // New work for the shard is refused inline, once per call.
+  auto refused = [&fleet](Status::Code expected) {
+    int calls = 0;
+    Status st = fleet.ServeAsync(TwitterRequest(0, "baseline"),
+                                 [&](Result<RewriteResponse> response) {
+                                   ++calls;
+                                   EXPECT_EQ(response.status().code(), expected);
+                                 });
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    EXPECT_EQ(calls, 1);
+  };
+  ASSERT_TRUE(fleet.DrainScenario("twitter").ok());
+  refused(Status::Code::kFailedPrecondition);
+  ASSERT_TRUE(fleet.EvictScenario("twitter").ok());
+  refused(Status::Code::kNotFound);
+  EXPECT_FALSE(evicted_stack.expired()) << "queued jobs hold the evicted stack";
+
+  // The other shard queues behind the held worker and still serves.
+  for (size_t i = 0; i < kTaxi; ++i) {
+    RewriteRequest req;
+    req.scenario = "taxi";
+    req.query = taxi_->evaluation[i % taxi_->evaluation.size()];
+    req.strategy = "baseline";
+    Status st = fleet.ServeAsync(req, [&, i](Result<RewriteResponse> response) {
+      EXPECT_TRUE(response.ok()) << response.status().ToString();
+      completions[kQueued + i].fetch_add(1);
+    });
+    EXPECT_TRUE(st.ok()) << st.ToString();
+  }
+
+  release.store(true);
+  ASSERT_TRUE(wait_for([&] {
+    for (const std::atomic<int>& c : completions) {
+      if (c.load() == 0) return false;
+    }
+    return true;
+  }));
+  for (size_t i = 0; i < completions.size(); ++i) {
+    EXPECT_EQ(completions[i].load(), 1) << "request " << i;
+  }
+  EXPECT_EQ(finished_evicted.load(), kQueued - 1);
+  EXPECT_TRUE(wait_for([&] { return evicted_stack.expired(); }))
+      << "the evicted stack outlived its last job";
+  RewriteRequest taxi;
+  taxi.scenario = "taxi";
+  taxi.query = taxi_->evaluation[0];
+  taxi.strategy = "baseline";
+  Result<RewriteResponse> served = fleet.Serve(taxi);
+  EXPECT_TRUE(served.ok()) << served.status().ToString();
+  std::vector<ScenarioInfo> scenarios = fleet.ListScenarios();
+  ASSERT_EQ(scenarios.size(), 1u);
+  EXPECT_EQ(scenarios[0].id, "taxi");
+}
+
 TEST_F(AdmissionFleetTest, StatsRollUpPerShardAndFleetWide) {
   MalivaFleet fleet(SmallFleetConfig(4).WithAdmission(
       AdmissionConfig().WithEnabled(true)));
@@ -635,11 +757,11 @@ TEST_F(AdmissionFleetTest, ConcurrentServesUnderOverloadStayTypedAndBalanced) {
 // ------------------------------------------------------- arrival generator --
 
 TEST(AdmissionArrivalGenTest, SameSeedReplaysTheSameTrace) {
-  bench::ArrivalGenerator a(1000.0, 7);
-  bench::ArrivalGenerator b(1000.0, 7);
+  ArrivalGenerator a(1000.0, 7);
+  ArrivalGenerator b(1000.0, 7);
   for (int i = 0; i < 200; ++i) EXPECT_DOUBLE_EQ(a.NextMs(), b.NextMs());
-  bench::ArrivalGenerator c(1000.0, 8);
-  bench::ArrivalGenerator d(1000.0, 7);
+  ArrivalGenerator c(1000.0, 8);
+  ArrivalGenerator d(1000.0, 7);
   bool diverged = false;
   for (int i = 0; i < 200 && !diverged; ++i) diverged = c.NextMs() != d.NextMs();
   EXPECT_TRUE(diverged) << "different seeds must give different traces";
@@ -647,7 +769,7 @@ TEST(AdmissionArrivalGenTest, SameSeedReplaysTheSameTrace) {
 
 TEST(AdmissionArrivalGenTest, MonotoneAndApproximatelyAtRate) {
   const double rate_qps = 1000.0;  // 1ms mean gap
-  bench::ArrivalGenerator gen(rate_qps, 42);
+  ArrivalGenerator gen(rate_qps, 42);
   double prev = 0.0;
   const int n = 20000;
   double last = 0.0;

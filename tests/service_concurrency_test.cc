@@ -1,7 +1,5 @@
 // Concurrent serving core tests: parallel ServeBatch byte-equality with
 // sequential serving, Warmup semantics, and the per-request session plumbing.
-// The suite name carries "Concurrency" so scripts/ci.sh --tsan picks it up
-// (ctest -R 'Service|Concurrency').
 
 #include <gtest/gtest.h>
 

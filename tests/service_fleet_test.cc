@@ -1,7 +1,6 @@
-// Multi-scenario shard plane tests. The suite names carry "Fleet" so the
-// scripts/ci.sh sanitizer legs (-R 'Service|Concurrency|Fleet') run them —
-// the register/serve/drain stress test below is the TSan/ASan coverage of
-// the ShardRouter / background-warm-up / fleet-ServeBatch interplay.
+// Multi-scenario shard plane tests. The register/serve/drain stress test
+// below is the TSan/ASan coverage of the ShardRouter / background-warm-up /
+// fleet-ServeBatch interplay.
 //
 // Covered contracts:
 //   * a mixed-scenario batch through MalivaFleet is byte-identical at every
@@ -470,6 +469,42 @@ TEST_F(FleetTest, StatsStayPerShardAndAggregate) {
   EXPECT_EQ(stats.totals.requests, 10u);
   EXPECT_EQ(stats.totals.store_size, stats.shards[0].second.store_size);
   EXPECT_EQ(stats.routing_errors, 0u);
+
+  // Online plane: learning on for the twitter shard only. Both shards serve
+  // agent traffic, then one synchronous fine-tune round runs on twitter;
+  // taxi must hold no snapshot and have recorded no transitions.
+  MalivaFleet online_fleet(SmallFleetConfig());
+  ASSERT_TRUE(online_fleet.RegisterScenario("twitter", twitter_, [](ServiceConfig& c) {
+    c.online_learning = true;
+    c.online_trainer_threads = 0;
+  }).ok());
+  ASSERT_TRUE(online_fleet.RegisterScenario("taxi", taxi_).ok());
+  online_fleet.WaitWarmups();
+  requests.clear();
+  for (size_t i = 0; i < 20; ++i) {
+    const bool taxi = i % 2 == 0;
+    const Scenario* scenario = taxi ? taxi_ : twitter_;
+    RewriteRequest req;
+    req.scenario = taxi ? "taxi" : "twitter";
+    req.query = scenario->evaluation[i % scenario->evaluation.size()];
+    req.strategy = "mdp/accurate";
+    requests.push_back(req);
+  }
+  for (const Result<RewriteResponse>& resp : online_fleet.ServeBatch(requests)) {
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  }
+  Result<std::shared_ptr<const MalivaService>> twitter = online_fleet.ServiceFor("twitter");
+  ASSERT_TRUE(twitter.ok());
+  (void)twitter.value()->online_trainer()->RetrainNow("agent/exact-accurate");
+  FleetStats online_stats = online_fleet.Stats();
+  ASSERT_EQ(online_stats.shards.size(), 2u);
+  const ServiceStats& taxi = online_stats.shards[0].second;
+  const ServiceStats& online = online_stats.shards[1].second;
+  EXPECT_EQ(taxi.requests, 10u);
+  EXPECT_GE(online.online_snapshot_version, 1u);
+  EXPECT_GT(online.online_transitions, 0u);
+  EXPECT_EQ(taxi.online_snapshot_version, 0u);
+  EXPECT_EQ(taxi.online_transitions, 0u);
 }
 
 TEST_F(FleetTest, FleetConfigValidateRejectsPathologies) {

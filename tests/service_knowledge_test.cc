@@ -1,9 +1,7 @@
 // Cross-request knowledge plane tests at the service layer: warm-store
 // requests collect fewer selectivities than cold ones, off-mode behaviour is
 // unchanged and reports no shared traffic, epoch invalidation via engine
-// catalog changes, ServiceConfig::Validate(), and the Stats() snapshot. The
-// suite name carries "Service" so the scripts/ci.sh sanitizer legs
-// (-R 'Service|Concurrency') run it.
+// catalog changes, ServiceConfig::Validate(), and the Stats() snapshot.
 
 #include <gtest/gtest.h>
 

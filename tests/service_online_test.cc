@@ -1,7 +1,6 @@
-// Online learning plane tests at the service layer. The suite name carries
-// "Service" so the scripts/ci.sh sanitizer legs (-R 'Service|Concurrency')
-// run it — the serve+retrain stress test below is the TSan/ASan coverage of
-// the ModelRegistry / ContinualTrainer / ShardedReplaySink interplay.
+// Online learning plane tests at the service layer. The serve+retrain
+// stress test below is the TSan/ASan coverage of the ModelRegistry /
+// ContinualTrainer / ShardedReplaySink interplay.
 //
 // Covered contracts:
 //   * off (default): ServeBatch results stay byte-identical at 1/4/8
@@ -11,7 +10,9 @@
 //     retrain pressure;
 //   * a failed validation gate leaves the serving snapshot untouched, and
 //     ModelRegistry::Rollback restores the predecessor (never past v1);
-//   * ServiceConfig::Validate() rejects online-knob pathologies.
+//   * ServiceConfig::Validate() rejects online-knob pathologies;
+//   * on a drifted query stream, continual retraining publishes new
+//     versions and serves more viable queries than the frozen agent.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "service/service.h"
+#include "workload/query_gen.h"
 
 namespace maliva {
 namespace {
@@ -399,6 +401,83 @@ TEST_F(ServiceOnlineTest, NonAgentStrategiesServeFrozenUnderOnlineMode) {
     EXPECT_EQ(resp.value().stats.agent_snapshot_version, 0u);
   }
   EXPECT_EQ(service.Stats().online_transitions, 0u);
+}
+
+// Drift: a frozen agent and a continually retrained one serve the same
+// stream of mid-zoom pan-out tiles (zoom 4-7) that the offline training mix
+// rarely contains, with 16 rewrite options under a 250 ms budget that cannot
+// cover them, so exploration order decides viability. Serving is sequential
+// and every fine-tune round runs synchronously, so the run is deterministic.
+TEST_F(ServiceOnlineTest, OnlineAgentBeatsFrozenOnDriftedStream) {
+  ScenarioConfig cfg;
+  cfg.kind = DatasetKind::kTwitter;
+  cfg.num_rows = 60000;
+  cfg.num_queries = 400;
+  cfg.num_attrs = 4;  // 16 rewrite options
+  cfg.tau_ms = 250.0;
+  cfg.seed = 101;
+  Scenario scenario = BuildScenario(cfg);
+
+  QueryGenConfig drift_gen;
+  drift_gen.attrs = scenario.attrs;
+  drift_gen.num_queries = 160;
+  drift_gen.seed = 22;
+  drift_gen.id_base = 20000000;
+  drift_gen.output = OutputKind::kHeatmap;
+  drift_gen.output_column = "coordinates";
+  drift_gen.range_zoom_min = 4;
+  drift_gen.range_zoom_max = 7;
+  drift_gen.spatial_zoom_min = 4;
+  drift_gen.spatial_zoom_max = 11;
+  const Table& tweets = *scenario.engine->FindEntry("tweets")->table;
+  std::vector<Query> drift_pool = GenerateQueries(tweets, nullptr, drift_gen);
+
+  ServiceConfig frozen_config = ServiceConfig().WithTrainerIterations(12).WithAgentSeeds(1);
+  frozen_config.num_threads = 1;
+  ServiceConfig online_config = frozen_config;
+  online_config.online_learning = true;
+  online_config.online_gradient_steps = 48;
+  online_config.online_learning_rate = 2e-4;
+  online_config.online_gate_tolerance = 0.3;
+  online_config.online_trainer_threads = 0;
+  MalivaService frozen(&scenario, frozen_config);
+  MalivaService online(&scenario, online_config);
+  ASSERT_TRUE(frozen.Warmup({"mdp/accurate"}).ok());
+  ASSERT_TRUE(online.Warmup({"mdp/accurate"}).ok());
+
+  auto requests = [](const std::vector<Query>& pool, size_t n) {
+    std::vector<RewriteRequest> out(n);
+    for (size_t i = 0; i < n; ++i) {
+      out[i].query = &pool[i % pool.size()];
+      out[i].strategy = "mdp/accurate";
+    }
+    return out;
+  };
+  auto viable_pct = [](const std::vector<Result<RewriteResponse>>& responses) {
+    size_t viable = 0;
+    for (const Result<RewriteResponse>& resp : responses) {
+      EXPECT_TRUE(resp.ok()) << resp.status().ToString();
+      viable += resp.ok() && resp.value().outcome.viable ? 1 : 0;
+    }
+    return 100.0 * static_cast<double>(viable) / static_cast<double>(responses.size());
+  };
+
+  // Base distribution first: snapshot v1 clones the frozen weights, and its
+  // serving transitions join the first fine-tune round's feedback.
+  std::vector<RewriteRequest> base = requests(scenario.queries, scenario.queries.size());
+  EXPECT_EQ(viable_pct(frozen.ServeBatch(base)), viable_pct(online.ServeBatch(base)));
+
+  std::vector<RewriteRequest> drift = requests(drift_pool, 320);
+  const int kRounds = 8;
+  double frozen_total = 0.0;
+  double online_total = 0.0;
+  for (int round = 0; round < kRounds; ++round) {
+    frozen_total += viable_pct(frozen.ServeBatch(drift));
+    online_total += viable_pct(online.ServeBatch(drift));
+    (void)online.online_trainer()->RetrainNow("agent/exact-accurate");
+  }
+  EXPECT_GT(online.Stats().online_snapshot_version, 1u);
+  EXPECT_GT(online_total / kRounds, frozen_total / kRounds);
 }
 
 }  // namespace

@@ -1,5 +1,4 @@
-// ServiceStats / FleetStats field parity. The suite name carries "Service"
-// so the scripts/ci.sh sanitizer legs run it.
+// ServiceStats / FleetStats field parity.
 //
 // Every counter field of a shard's ServiceStats row, of FleetStats::totals
 // and of FleetStats::admission must equal a tally built independently from

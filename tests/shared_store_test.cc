@@ -1,7 +1,6 @@
 // SharedSelectivityStore tests: read/publish semantics, epoch invalidation,
 // FIFO eviction, and a multi-thread publish/read-through/epoch-bump stress
-// run. The suite name carries "Concurrency" so both sanitizer legs of
-// scripts/ci.sh (-R 'Service|Concurrency') pick the stress test up.
+// run.
 
 #include "qte/shared_selectivity_store.h"
 
@@ -60,15 +59,6 @@ TEST(SharedStoreConcurrencyTest, FifoEvictionAtCapacity) {
   EXPECT_FALSE(store.Lookup(0, 1).has_value());
   EXPECT_TRUE(store.Lookup(100, 1).has_value());
   EXPECT_TRUE(store.Lookup(3, 1).has_value());
-}
-
-TEST(SharedStoreConcurrencyTest, ClearDropsEverything) {
-  SharedSelectivityStore store({64, 4});
-  for (uint64_t key = 0; key < 10; ++key) store.Publish(key, 1, 0.1);
-  EXPECT_EQ(store.Size(), 10u);
-  store.Clear();
-  EXPECT_EQ(store.Size(), 0u);
-  EXPECT_FALSE(store.Lookup(0, 1).has_value());
 }
 
 TEST(SharedStoreConcurrencyTest, ShardCountIsCappedAtCapacity) {

@@ -70,15 +70,6 @@ TEST(TableTest, SchemaAndColumnLookup) {
   EXPECT_EQ(t->GetColumn("ts").type(), ColumnType::kTimestamp);
 }
 
-TEST(TableTest, FinishRowValidatesLengths) {
-  Table t("t", {{"a", ColumnType::kInt64}, {"b", ColumnType::kInt64}});
-  t.MutableColumnAt(0).AppendInt64(1);
-  EXPECT_FALSE(t.FinishRow().ok());  // column b not appended
-  t.MutableColumnAt(1).AppendInt64(2);
-  EXPECT_TRUE(t.FinishRow().ok());
-  EXPECT_EQ(t.NumRows(), 1u);
-}
-
 TEST(TableTest, SealRejectsRagged) {
   Table t("t", {{"a", ColumnType::kInt64}, {"b", ColumnType::kInt64}});
   t.MutableColumnAt(0).AppendInt64(1);

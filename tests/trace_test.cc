@@ -8,8 +8,11 @@
 
 #include <cmath>
 #include <cstdio>
+#include <random>
 #include <string>
+#include <vector>
 
+#include "bench/replay_golden.h"
 #include "workload/arrival.h"
 
 namespace maliva {
@@ -202,6 +205,75 @@ TEST(ReplayTraceTest, DeserializeRejectsGarbage) {
     ASSERT_FALSE(parsed.ok());
     EXPECT_EQ(parsed.status().code(), Status::Code::kInvalidArgument);
   }
+  // Every line must parse whole, and unsigned fields take no sign.
+  auto trace = [](const char* seed, const char* stream, const char* records,
+                  const char* record) {
+    return std::string("maliva-trace v1\nname x\n") + seed + "\nstreams 1\n" +
+           stream + "\n" + records + "\n" + record + "\nend\n";
+  };
+  const std::string valid = trace("seed 1", "stream a b 500 0 1 2", "records 1", "0 1 2.5");
+  ASSERT_TRUE(Trace::Deserialize(valid).ok());
+  for (const std::string& bad :
+       {trace("seed 1", "stream a b 500 0 1 2 junk", "records 1", "0 1 2.5"),
+        trace("seed 1", "stream a b 500 0 1 2", "records 1", "0 1 2.5 junk"),
+        trace("seed 1x", "stream a b 500 0 1 2", "records 1", "0 1 2.5"),
+        trace("seed 1", "stream a b 500 0 1 2", "records 1x", "0 1 2.5"),
+        trace("seed -1", "stream a b 500 0 1 2", "records 1", "0 1 2.5"),
+        trace("seed 1", "stream a b 500 0 1 -4294967295", "records 1", "0 0 2.5"),
+        valid + "end\n"}) {
+    Result<Trace> parsed = Trace::Deserialize(bad);
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.status().code(), Status::Code::kInvalidArgument) << bad;
+  }
+}
+
+// Seeded mutations of the golden trace (byte flips, truncations, line
+// deletions and duplications) must each come back as a Status, never a
+// crash; any mutation the parser accepts must re-serialize stably.
+TEST(ReplayTraceTest, MutatedInputNeverCrashes) {
+  const std::string golden = replay_golden::GoldenTrace().Serialize();
+  std::vector<std::string> lines;
+  for (size_t start = 0; start < golden.size();) {
+    size_t end = golden.find('\n', start) + 1;
+    lines.push_back(golden.substr(start, end - start));
+    start = end;
+  }
+  std::mt19937_64 rng(20240521);
+  auto below = [&rng](size_t n) { return static_cast<size_t>(rng() % n); };
+  size_t accepted = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string text;
+    switch (trial % 4) {
+      case 0:  // flip one or more bits of one byte
+        text = golden;
+        text[below(text.size())] ^= static_cast<char>(1 + below(255));
+        break;
+      case 1:
+        text = golden.substr(0, below(golden.size()));
+        break;
+      case 2:
+      case 3: {  // delete (2) or duplicate (3) one line
+        const size_t target = below(lines.size());
+        for (size_t i = 0; i < lines.size(); ++i) {
+          const size_t copies = i != target ? 1 : (trial % 4 == 2 ? 0 : 2);
+          for (size_t c = 0; c < copies; ++c) text += lines[i];
+        }
+        break;
+      }
+    }
+    Result<Trace> parsed = Trace::Deserialize(text);
+    if (!parsed.ok()) {
+      EXPECT_EQ(parsed.status().code(), Status::Code::kInvalidArgument);
+      continue;
+    }
+    ++accepted;
+    const std::string once = parsed.value().Serialize();
+    Result<Trace> again = Trace::Deserialize(once);
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    EXPECT_EQ(again.value().Serialize(), once) << "trial " << trial;
+  }
+  // Flips inside the name or an arrival's digits stay well-formed.
+  EXPECT_GT(accepted, 0u);
 }
 
 TEST(ReplayTraceTest, RecordInternsStreams) {

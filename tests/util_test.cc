@@ -7,7 +7,6 @@
 #include <set>
 #include <thread>
 
-#include "util/clock.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 #include "util/stats.h"
@@ -243,15 +242,6 @@ TEST(StringUtilTest, FormatDouble) {
   EXPECT_EQ(FormatDouble(2.0, 0), "2");
 }
 
-TEST(VirtualClockTest, AdvanceAccumulates) {
-  VirtualClock clock;
-  EXPECT_EQ(clock.NowMs(), 0.0);
-  clock.Advance(10.5);
-  clock.Advance(4.5);
-  EXPECT_DOUBLE_EQ(clock.NowMs(), 15.0);
-  clock.Reset();
-  EXPECT_EQ(clock.NowMs(), 0.0);
-}
 
 TEST(ThreadPoolDepthTest, IdlePoolReportsZero) {
   ThreadPool pool(2);
