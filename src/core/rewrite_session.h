@@ -10,8 +10,6 @@
 // A session owns:
 //   * the request's SelectivityCache(s) — rewriters allocate episode caches
 //     here instead of keeping any internal scratch state;
-//   * a deterministic RNG seeded from the request *index* (not from a shared
-//     stream), so batch results are independent of thread interleaving;
 //   * the multi-attempt accounting used by the quality-floor fallback (the
 //     first attempt's planning time stays on the final bill);
 //   * the request's binding to the cross-request knowledge plane: when the
@@ -31,7 +29,6 @@
 #include "qte/selectivity_cache.h"
 #include "qte/shared_selectivity_store.h"
 #include "util/query_profiler.h"
-#include "util/rng.h"
 
 namespace maliva {
 
@@ -40,26 +37,10 @@ class QAgent;
 /// Mutable state of one in-flight rewrite request.
 class RewriteSession {
  public:
-  explicit RewriteSession(uint64_t seed) : rng_(seed) {}
+  RewriteSession() = default;
 
   RewriteSession(const RewriteSession&) = delete;
   RewriteSession& operator=(const RewriteSession&) = delete;
-
-  /// Session seed for request `request_index` of a batch served under
-  /// `base_seed`: a splitmix64 finalization of the pair, so neighbouring
-  /// indices get uncorrelated streams and the mapping is stable across
-  /// thread counts and interleavings.
-  static uint64_t SeedFor(uint64_t base_seed, uint64_t request_index) {
-    uint64_t z = base_seed + 0x9e3779b97f4a7c15ULL * (request_index + 1);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
-
-  /// The request's private random stream. Built-in strategies are fully
-  /// deterministic and never draw from it; stochastic custom strategies must
-  /// use this (and only this) source so batch serving stays reproducible.
-  Rng& rng() { return rng_; }
 
   /// Attaches the cross-request knowledge plane for this request: caches
   /// allocated after this call are pre-seeded from `store` (slot `i` keyed
@@ -166,7 +147,6 @@ class RewriteSession {
   void set_exact_fallback(bool value) { exact_fallback_ = value; }
 
  private:
-  Rng rng_;
   std::deque<SelectivityCache> caches_;
   const SharedSelectivityStore* store_ = nullptr;
   const std::vector<uint64_t>* slot_keys_ = nullptr;

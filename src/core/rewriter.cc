@@ -45,9 +45,7 @@ RewriterEnv WithBudget(const RewriterEnv& renv, double tau_ms) {
 }  // namespace
 
 RewriteOutcome Rewriter::RewriteWithBudget(const Query& query, double tau_ms) const {
-  // Throwaway session: built-in strategies never draw from the session RNG,
-  // so this is byte-identical to serving inside a batch session.
-  RewriteSession session(RewriteSession::SeedFor(0, query.id));
+  RewriteSession session;
   return RewriteForSession(query, tau_ms, session);
 }
 

@@ -62,9 +62,11 @@ struct RewriterEnv {
 ///
 /// Statelessness contract: implementations hold only state that is immutable
 /// after construction. All per-request mutable state (episode selectivity
-/// caches, randomness) comes from the RewriteSession passed to
+/// caches, fallback accounting) comes from the RewriteSession passed to
 /// `RewriteForSession` — this is what lets MalivaService share one rewriter
-/// instance across serving threads.
+/// instance across serving threads. A decision is a function of the request
+/// alone: the session carries no random stream, so a stochastic strategy
+/// must seed itself from the query to stay reproducible.
 class Rewriter {
  public:
   virtual ~Rewriter() = default;

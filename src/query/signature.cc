@@ -11,8 +11,7 @@ namespace maliva {
 
 namespace {
 
-/// splitmix64 finalizer: the avalanche step used throughout the project for
-/// deterministic hashing (see RewriteSession::SeedFor).
+/// splitmix64 finalizer: the avalanche step of every signature hash.
 uint64_t Avalanche(uint64_t z) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;

@@ -150,9 +150,6 @@ MalivaService::MalivaService(Scenario* scenario, ServiceConfig config)
     // service over the same scenario reproduces every estimation cost.
     qte_params_.jitter_seed = scenario_->config.seed ^ 0x6a697474;
   }
-  // Per-request session seeds mix this base with the request index, so batch
-  // results are independent of thread count and interleaving.
-  session_seed_base_ = scenario_->config.seed ^ 0x73657373;  // "sess"
   state_.accurate_qte = std::make_unique<AccurateQte>();
   state_.sampling_qte = std::make_unique<SamplingQte>();
   state_.quality_oracle = std::make_unique<QualityOracle>(scenario_->engine.get());
@@ -548,13 +545,8 @@ void MalivaService::Record(std::chrono::steady_clock::time_point start,
 }
 
 Result<RewriteResponse> MalivaService::Serve(const RewriteRequest& request) const {
-  return ServeAt(request, 0);
-}
-
-Result<RewriteResponse> MalivaService::ServeAt(const RewriteRequest& request,
-                                               uint64_t request_index) const {
   const auto start = std::chrono::steady_clock::now();
-  Result<RewriteResponse> result = ServeImpl(request, request_index);
+  Result<RewriteResponse> result = ServeImpl(request);
   Record(start, result.ok() ? &result.value() : nullptr);
   return result;
 }
@@ -591,8 +583,7 @@ uint64_t MalivaService::FingerprintRequest(const RewriteRequest& request) const 
       .fingerprint;
 }
 
-Result<RewriteResponse> MalivaService::ServeImpl(const RewriteRequest& request,
-                                                 uint64_t request_index) const {
+Result<RewriteResponse> MalivaService::ServeImpl(const RewriteRequest& request) const {
   MALIVA_RETURN_NOT_OK(config_status_);
   MALIVA_RETURN_NOT_OK(ValidateRequest(request));
 
@@ -601,31 +592,22 @@ Result<RewriteResponse> MalivaService::ServeImpl(const RewriteRequest& request,
   if (!rewriter.ok()) return rewriter.status();
   const Rewriter& strategy = *rewriter.value();
 
-  // All mutable per-request state lives here; the strategy objects stay
-  // shared-immutable across threads.
-  RewriteSession session(RewriteSession::SeedFor(session_seed_base_, request_index));
-
-  // Measurement plane: a profiled request gets a stack-owned profiler bound
-  // to its session. `prof == nullptr` is the off path — no clock is ever
-  // read there, and the breakdown never feeds back into any decision, so
-  // responses stay byte-identical either way.
+  // Measurement plane: a profiled request gets a stack-owned profiler.
+  // `prof == nullptr` is the off path — no clock is ever read there, and the
+  // breakdown never feeds back into any decision, so responses stay
+  // byte-identical either way.
   std::optional<QueryProfiler> profiler_storage;
   QueryProfiler* prof = nullptr;
   if (config_.profile_requests) {
     profiler_storage.emplace(&QueryProfiler::WallClockMs);
     prof = &*profiler_storage;
-    session.BindProfiler(prof);
   }
 
-  // Resolve. Knowledge plane: the session's episode caches start pre-seeded
-  // with the selectivities earlier requests collected.
+  // Resolve.
   SharedSelectivityStore* store = state_.shared_store.get();
   RewriteResultCache* rcache = state_.result_cache.get();
   const DecisionContext ctx = ResolveContext(
       request, name, &strategy, store != nullptr || rcache != nullptr, prof);
-  if (store != nullptr) {
-    session.BindSharedStore(store, &ctx.canonical.slot_keys, ctx.epoch);
-  }
 
   // Probe: replay a resident decision, follow an in-flight leader's search,
   // or lead (publish on the way out). Replays skip QTE, agent, and the
@@ -670,6 +652,15 @@ Result<RewriteResponse> MalivaService::ServeImpl(const RewriteRequest& request,
   // query that passed it; the output fields it leaves out are only rendered.
   MALIVA_RETURN_NOT_OK(scenario_->engine->ValidateQuery(*request.query));
 
+  // All mutable per-request state lives here, built only now that the
+  // request searches; the strategy objects stay shared-immutable across
+  // threads. Knowledge plane: the session's episode caches start pre-seeded
+  // with the selectivities earlier requests collected.
+  RewriteSession session;
+  session.BindProfiler(prof);
+  if (store != nullptr) {
+    session.BindSharedStore(store, &ctx.canonical.slot_keys, ctx.epoch);
+  }
   if (ctx.model) {
     session.BindAgentOverride(ctx.model.agent.get());
     session.set_capture_transitions(true);
@@ -900,7 +891,7 @@ std::vector<Result<RewriteResponse>> MalivaService::ServeBatch(
   std::vector<std::optional<Result<RewriteResponse>>> slots(requests.size());
   auto serve_one = [this, &slots, &requests, &replay_of](size_t i) {
     if (replay_of[i] != kUnique) return;
-    slots[i] = ServeAt(requests[i], i);
+    slots[i] = Serve(requests[i]);
   };
   if (std::min(ResolvedNumThreads(), requests.size()) <= 1) {
     for (size_t i = 0; i < requests.size(); ++i) serve_one(i);

@@ -19,7 +19,8 @@
 //     strategy) populates an immutable ServingState: engine catalog, trained
 //     agents, Bao QTE, interned option sets. Published entries are frozen.
 //   * serve phase — Serve is const and data-race-free; every request runs in
-//     its own RewriteSession (selectivity caches, RNG, fallback accounting).
+//     its own RewriteSession (selectivity caches, fallback accounting),
+//     built only when the request misses the result cache.
 //     ServeBatch fans requests out over ServiceConfig::num_threads workers
 //     with results byte-identical to sequential Serve calls in request
 //     order.
@@ -335,24 +336,12 @@ class MalivaService {
 
   /// Serves a batch over ServiceConfig::num_threads workers (1 = sequential
   /// loop). Strategies the batch needs are built once up front. Determinism:
-  /// session RNG seeds derive from the request *index*, not from
-  /// shared-stream order, so responses are byte-identical across thread
-  /// counts (including the num_threads=1 sequential loop). For strategies
-  /// that draw nothing from the session RNG — all built-ins — they also
-  /// equal individual Serve calls in request order; a stochastic custom
-  /// strategy sees a different session seed per batch position (Serve always
-  /// uses index 0).
+  /// a request's decision depends on the request alone, never on its batch
+  /// position or on thread interleaving, so responses are byte-identical
+  /// across thread counts (including the num_threads=1 sequential loop) and
+  /// equal individual Serve calls in request order.
   std::vector<Result<RewriteResponse>> ServeBatch(
       std::span<const RewriteRequest> requests) const;
-
-  /// Serves one request at an explicit batch position: `request_index` seeds
-  /// the per-request session RNG exactly as ServeBatch does for the request
-  /// at that position (Serve itself is ServeAt(request, 0)). For external
-  /// batch drivers — e.g. MalivaFleet's mixed-scenario ServeBatch — that
-  /// partition one batch across services but must reproduce each service's
-  /// own batch results byte for byte.
-  Result<RewriteResponse> ServeAt(const RewriteRequest& request,
-                                  uint64_t request_index) const;
 
   /// Returns (building and training on a miss, behind the exclusive build
   /// lock) strategy `name`. The returned pointer is stable for the service's
@@ -477,10 +466,10 @@ class MalivaService {
                                  const Rewriter* strategy, bool keyed,
                                  QueryProfiler* prof) const;
 
-  /// Serve body behind ServeAt's record step: resolve, probe, search,
-  /// render, publish. `request_index` seeds the per-request session RNG.
-  Result<RewriteResponse> ServeImpl(const RewriteRequest& request,
-                                    uint64_t request_index) const;
+  /// Serve body behind Serve's record step: resolve, probe, search,
+  /// render, publish. Only the search builds a RewriteSession; a replayed
+  /// decision returns before it.
+  Result<RewriteResponse> ServeImpl(const RewriteRequest& request) const;
 
   /// Lock-only lookup of an already built strategy; nullptr when cold.
   /// Never builds — the cache probe paths must stay O(1).
@@ -504,12 +493,10 @@ class MalivaService {
   /// surfaced by Serve/Warmup/GetRewriter instead of silently clamping.
   Status config_status_;
   QteParams qte_params_;
-  /// Base of per-request session seeds (mixed with the request index).
-  uint64_t session_seed_base_;
 
   /// The record stage, the one count per answered request: stamps
   /// `response`'s serve_wall_ms with the host wall time since `start` and
-  /// counts it served, or counts an error when `response` is null. ServeAt,
+  /// counts it served, or counts an error when `response` is null. Serve,
   /// TryServeCached and ServeBatch's replay phase all return through it.
   void Record(std::chrono::steady_clock::time_point start,
               RewriteResponse* response) const;

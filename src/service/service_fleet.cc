@@ -313,8 +313,7 @@ Result<std::shared_ptr<Shard>> MalivaFleet::Route(const std::string& key) const 
 
 void MalivaFleet::SubmitAdmitted(
     const std::shared_ptr<Shard>& shard, const RewriteRequest& request,
-    double arrival_ms, uint64_t shard_index,
-    std::function<void(Result<RewriteResponse>)> done) const {
+    double arrival_ms, std::function<void(Result<RewriteResponse>)> done) const {
   // Decision-tier fast path, probed *before* the gate: a cache-resident
   // answer costs no scheduler slot and no search, so a flood of duplicate
   // queries must never shed (or degrade) work the cache can answer — nor
@@ -361,7 +360,7 @@ void MalivaFleet::SubmitAdmitted(
   job.deadline_ms = deadline_ms;
   job.scenario = shard->id;
   job.run = [this, shard, effective = std::move(effective), arrival_ms,
-             deadline_ms, shard_index, degraded, decision,
+             deadline_ms, degraded, decision,
              done = std::move(done)]() mutable {
     const ServeMetrics& sm = shard->service->serve_metrics();
     const double start_ms = NowMs();
@@ -380,8 +379,7 @@ void MalivaFleet::SubmitAdmitted(
                                            Scheduler().QueueDepth()));
       return;
     }
-    Result<RewriteResponse> response =
-        shard->service->ServeAt(effective, shard_index);
+    Result<RewriteResponse> response = shard->service->Serve(effective);
     VerdictCounter(sm, decision)->Increment();
     admission_->RecordServeMs(NowMs() - start_ms);
     if (response.ok()) {
@@ -417,7 +415,7 @@ Result<RewriteResponse> MalivaFleet::Serve(const RewriteRequest& request) const 
     std::optional<Result<RewriteResponse>> result;
   };
   auto pending = std::make_shared<Pending>();
-  SubmitAdmitted(shard.value(), request, NowMs(), /*shard_index=*/0,
+  SubmitAdmitted(shard.value(), request, NowMs(),
                  [pending](Result<RewriteResponse> response) {
                    std::unique_lock<std::mutex> lock(pending->mutex);
                    pending->result = std::move(response);
@@ -445,32 +443,24 @@ Status MalivaFleet::ServeAsync(
     done(shard.status());
     return Status::OK();
   }
-  SubmitAdmitted(shard.value(), request, NowMs(), /*shard_index=*/0,
-                 std::move(done));
+  SubmitAdmitted(shard.value(), request, NowMs(), std::move(done));
   return Status::OK();
 }
 
 std::vector<Result<RewriteResponse>> MalivaFleet::ServeBatch(
     std::span<const RewriteRequest> requests) const {
-  struct Routed {
-    std::shared_ptr<Shard> shard;  // null = routing failed, slot holds the Status
-    uint64_t shard_index = 0;      // position within the shard's batch slice
-  };
   std::vector<std::optional<Result<RewriteResponse>>> slots(requests.size());
-  std::vector<Routed> routed(requests.size());
+  // Null where routing failed; the slot then holds the Status.
+  std::vector<std::shared_ptr<Shard>> routed(requests.size());
 
-  // Route phase, sequential: per-shard indices depend only on the batch
-  // order, so each shard's slice is served at indices 0..k-1 — exactly what
-  // that shard's own ServeBatch would use, whatever else is interleaved.
-  std::unordered_map<Shard*, uint64_t> shard_counts;
+  // Route phase, sequential.
   for (size_t i = 0; i < requests.size(); ++i) {
     Result<std::shared_ptr<Shard>> shard = Route(requests[i].scenario);
     if (!shard.ok()) {
       slots[i] = shard.status();
       continue;
     }
-    routed[i].shard_index = shard_counts[shard.value().get()]++;
-    routed[i].shard = std::move(shard).value();
+    routed[i] = std::move(shard).value();
   }
 
   // Build phase: warm every (shard, strategy) pair the batch needs — plus
@@ -483,8 +473,8 @@ std::vector<Result<RewriteResponse>> MalivaFleet::ServeBatch(
     if (admission_ != nullptr) degrade.strategy = config_.admission.degrade_strategy;
     std::unordered_map<Shard*, std::vector<std::string>> needed;
     for (size_t i = 0; i < requests.size(); ++i) {
-      if (routed[i].shard == nullptr) continue;
-      Shard* shard = routed[i].shard.get();
+      Shard* shard = routed[i].get();
+      if (shard == nullptr) continue;
       const ServiceConfig& config = shard->service->config();
       AppendNeededStrategies(requests[i], config, &needed[shard]);
       if (!degrade.strategy.empty()) AppendNeededStrategies(degrade, config, &needed[shard]);
@@ -500,23 +490,21 @@ std::vector<Result<RewriteResponse>> MalivaFleet::ServeBatch(
     // Admission path: every member shares one arrival stamp (the batch
     // arrived together), each routed member passes the gate, and admitted
     // work dispatches EDF through the scheduler. A countdown latch over the
-    // slots replaces the ParallelFor barrier; per-shard slice indices are
-    // identical to the FIFO path, only (load-dependent) verdicts and
-    // dispatch order differ.
+    // slots replaces the ParallelFor barrier; only (load-dependent) verdicts
+    // and dispatch order differ from the FIFO path.
     struct BatchState {
       std::mutex mutex;
       std::condition_variable cv;
       size_t remaining = 0;
     };
     auto state = std::make_shared<BatchState>();
-    for (const Routed& r : routed) {
-      if (r.shard != nullptr) ++state->remaining;
+    for (const std::shared_ptr<Shard>& shard : routed) {
+      if (shard != nullptr) ++state->remaining;
     }
     const double arrival_ms = NowMs();
     for (size_t i = 0; i < requests.size(); ++i) {
-      if (routed[i].shard == nullptr) continue;
-      SubmitAdmitted(routed[i].shard, requests[i], arrival_ms,
-                     routed[i].shard_index,
+      if (routed[i] == nullptr) continue;
+      SubmitAdmitted(routed[i], requests[i], arrival_ms,
                      [state, &slots, i](Result<RewriteResponse> response) {
                        std::unique_lock<std::mutex> lock(state->mutex);
                        slots[i] = std::move(response);
@@ -529,11 +517,10 @@ std::vector<Result<RewriteResponse>> MalivaFleet::ServeBatch(
     // Serve phase: one fan-out over the shared fleet pool, all shards at
     // once.
     auto serve_one = [this, &slots, &routed, &requests](size_t i) {
-      if (routed[i].shard == nullptr) return;  // routing error already recorded
-      slots[i] =
-          routed[i].shard->service->ServeAt(requests[i], routed[i].shard_index);
+      if (routed[i] == nullptr) return;  // routing error already recorded
+      slots[i] = routed[i]->service->Serve(requests[i]);
       const Result<RewriteResponse>& response = *slots[i];
-      AppendTrace(*routed[i].shard, requests[i],
+      AppendTrace(*routed[i], requests[i],
                   response.ok() ? "fifo" : "error",
                   response.ok() ? &response.value() : nullptr,
                   /*queue_wait_ms=*/0.0);

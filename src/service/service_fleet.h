@@ -22,12 +22,12 @@
 // refuses new serves while in-flight ones finish; Evict removes a drained
 // shard (requests still holding its shared_ptr keep the stack alive).
 //
-// Determinism: the fleet-level ServeBatch partitions a mixed-scenario batch
-// by routing key and serves each request at its *per-shard* position, so a
-// shard's slice of the responses is byte-identical to serving that slice
-// through the shard's own ServeBatch — at any fleet thread count, with any
-// interleaving of other scenarios in the batch (the PR 2/3 per-shard
-// contracts, fleet-wide).
+// Determinism: the fleet-level ServeBatch routes a mixed-scenario batch by
+// routing key and serves each request through its shard's Serve, whose
+// decision depends on the request alone, so a shard's slice of the
+// responses is byte-identical to serving that slice through the shard's own
+// ServeBatch — at any fleet thread count, with any interleaving of other
+// scenarios in the batch (the per-service contracts, fleet-wide).
 
 #ifndef MALIVA_SERVICE_SERVICE_FLEET_H_
 #define MALIVA_SERVICE_SERVICE_FLEET_H_
@@ -249,15 +249,14 @@ class MalivaFleet {
 
   /// Serves a mixed-scenario batch: requests are routed per the rules above
   /// (failures land as per-request Status), each shard's strategies are
-  /// pre-built, and the batch fans out over the fleet pool. Each request is
-  /// served at its position *within its shard's slice*, so per shard the
-  /// responses are byte-identical to that shard's own ServeBatch over the
+  /// pre-built, and the batch fans out over the fleet pool. Per shard the
+  /// responses are byte-identical to that shard's own ServeBatch over its
   /// slice — at any fleet thread count.
   ///
   /// With admission on the batch routes through the gate + scheduler
-  /// instead (all members share one arrival timestamp); per-shard slice
-  /// indices are preserved, but gate decisions depend on live load, so the
-  /// byte-identity contract is admission-off only.
+  /// instead (all members share one arrival timestamp); gate decisions
+  /// depend on live load, so the byte-identity contract is admission-off
+  /// only.
   std::vector<Result<RewriteResponse>> ServeBatch(
       std::span<const RewriteRequest> requests) const;
 
@@ -295,12 +294,10 @@ class MalivaFleet {
 
   /// Admission path shared by Serve/ServeAsync/ServeBatch: gate the routed
   /// request at `arrival_ms`, then either invoke `done` inline with the
-  /// shed Status or submit the (possibly degraded) work to the scheduler,
-  /// serving at per-shard position `shard_index`. `done` is invoked exactly
-  /// once either way.
+  /// shed Status or submit the (possibly degraded) work to the scheduler.
+  /// `done` is invoked exactly once either way.
   void SubmitAdmitted(const std::shared_ptr<Shard>& shard,
                       const RewriteRequest& request, double arrival_ms,
-                      uint64_t shard_index,
                       std::function<void(Result<RewriteResponse>)> done) const;
 
   /// Wall ms since fleet construction — the admission/deadline timeline.

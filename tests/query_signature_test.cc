@@ -1,13 +1,19 @@
 // Canonicalization tests: signature stability under predicate permutation
-// and output/id changes, literal-binning behaviour, and distinct signatures
-// for semantically different queries.
+// (one hand-built swap, plus a seeded property over generated queries of
+// every dataset kind and every permutation of their predicates) and
+// output/id changes, literal-binning behaviour, and distinct signatures for
+// semantically different queries.
 
 #include "query/signature.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <vector>
+
+#include "util/rng.h"
+#include "workload/scenario.h"
 
 namespace maliva {
 namespace {
@@ -43,6 +49,70 @@ TEST(QuerySignatureTest, StableUnderPredicatePermutation) {
   EXPECT_EQ(base.slot_keys[0], perm.slot_keys[2]);
   EXPECT_EQ(base.slot_keys[2], perm.slot_keys[0]);
   EXPECT_EQ(base.slot_keys[1], perm.slot_keys[1]);
+}
+
+TEST(QuerySignatureTest, EveryPermutationOfGeneratedQueriesKeepsTheSignature) {
+  // Property: for generated queries of every dataset kind (Twitter at five
+  // attributes and with its join, Taxi, TPC-H), every permutation of the
+  // base predicates keeps the signature and permutes the slot keys by the
+  // same permutation; join-side slots stay where they are.
+  struct Setting {
+    DatasetKind kind;
+    size_t num_attrs;
+    bool join;
+  };
+  const Setting settings[] = {{DatasetKind::kTwitter, 5, false},
+                              {DatasetKind::kTwitter, 3, true},
+                              {DatasetKind::kTaxi, 3, false},
+                              {DatasetKind::kTpch, 3, false}};
+  for (const Setting& setting : settings) {
+    ScenarioConfig cfg;
+    cfg.kind = setting.kind;
+    cfg.num_attrs = setting.num_attrs;
+    cfg.join = setting.join;
+    cfg.num_rows = 3000;
+    cfg.num_users = 300;
+    cfg.num_queries = 40;
+    cfg.seed = 41;
+    const Scenario scenario = BuildScenario(cfg);
+    Rng rng(0x5167 + static_cast<uint64_t>(setting.kind));
+    size_t permutations = 0;
+    for (size_t draw = 0; draw < 12; ++draw) {
+      const Query& query =
+          scenario.queries[rng.UniformInt(0, static_cast<int64_t>(scenario.queries.size()) - 1)];
+      SCOPED_TRACE(DatasetKindName(setting.kind) + std::string(" query ") +
+                   std::to_string(query.id));
+      const size_t n = query.predicates.size();
+      ASSERT_EQ(n, setting.num_attrs);
+      const CanonicalQuery base = Canonicalize(query);
+      std::vector<size_t> order(n);
+      std::iota(order.begin(), order.end(), size_t{0});
+      do {
+        Query permuted = query;
+        for (size_t slot = 0; slot < n; ++slot) {
+          permuted.predicates[slot] = query.predicates[order[slot]];
+        }
+        const CanonicalQuery perm = Canonicalize(permuted);
+        EXPECT_EQ(perm.signature, base.signature);
+        ASSERT_EQ(perm.slot_keys.size(), base.slot_keys.size());
+        for (size_t slot = 0; slot < base.slot_keys.size(); ++slot) {
+          const size_t from = slot < n ? order[slot] : slot;
+          EXPECT_EQ(perm.slot_keys[slot], base.slot_keys[from]) << "slot " << slot;
+        }
+        ++permutations;
+      } while (std::next_permutation(order.begin(), order.end()));
+    }
+    // 12 draws x n! permutations each: 1,440 for five attributes, 72 for three.
+    const size_t per_query = setting.num_attrs == 5 ? 120 : 6;
+    EXPECT_EQ(permutations, 12 * per_query);
+    if (setting.join) {
+      EXPECT_TRUE(std::any_of(scenario.queries.begin(), scenario.queries.end(),
+                              [](const Query& q) {
+                                return q.join.has_value() &&
+                                       !q.join->right_predicates.empty();
+                              }));
+    }
+  }
 }
 
 TEST(QuerySignatureTest, IdAndOutputFieldsAreStripped) {

@@ -1,13 +1,16 @@
 // Rewrite-result cache tests (service/rewrite_result_cache.h): the cache
 // module's single-flight / CLOCK / context-validation mechanics, the service
-// wiring (hit byte-identity, in-batch dedup, probe-only admission path), and
-// the invalidation races (catalog epoch + agent snapshot bumps mid-stream).
+// wiring (hit byte-identity, in-batch dedup, probe-only admission path, and
+// a seeded property that every hit and coalesced replay through every entry
+// point carries its miss's bytes), and the invalidation races (catalog epoch
+// + agent snapshot bumps mid-stream).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
 #include <thread>
@@ -16,6 +19,8 @@
 #include "service/rewrite_result_cache.h"
 #include "service/service.h"
 #include "service/service_fleet.h"
+#include "util/rng.h"
+#include "workload/replay_driver.h"
 
 namespace maliva {
 namespace {
@@ -319,6 +324,170 @@ TEST_F(ResultCacheServiceTest, HitReplaysTheMissByteForByte) {
   ASSERT_TRUE(other.ok());
   EXPECT_FALSE(other.value().stats.result_cache_hit);
   EXPECT_EQ(service.Stats().result_cache_misses, 2u);
+}
+
+TEST_F(ResultCacheServiceTest, SeededHitsReplayTheirMissBytesThroughEveryEntryPoint) {
+  // Property: over 240 seeded requests (24 queries, five strategies, mixed
+  // tau overrides and quality floors), every cache hit and every coalesced
+  // replay carries the bytes of the miss that computed its decision context
+  // — through Serve, ServeBatch at 1 and 4 threads, and the fleet's Serve,
+  // ServeBatch and ServeAsync — and replays bill no selectivity work.
+  const char* strategies[] = {"baseline", "naive", "mdp/accurate", "bao",
+                              "quality/one-stage"};
+  const double taus[] = {150.0, 250.0, 300.0, 310.0, 500.0, 1000.0};
+  const double floors[] = {0.5, 0.9, 0.95};
+  Rng rng(0x6361636865);  // "cache"
+  std::vector<RewriteRequest> requests;
+  for (size_t i = 0; i < 240; ++i) {
+    RewriteRequest req = Request(static_cast<size_t>(rng.UniformInt(0, 23)),
+                                 strategies[rng.UniformInt(0, 4)]);
+    if (rng.Bernoulli(0.5)) req.tau_ms = taus[rng.UniformInt(0, 5)];
+    if (rng.Bernoulli(0.3)) req.quality_floor = floors[rng.UniformInt(0, 2)];
+    req.scenario = "tweets";
+    requests.push_back(req);
+  }
+
+  // The miss that first computed each decision context, by fingerprint.
+  ServiceConfig config = SmallConfig().WithResultCache(true);
+  config.num_threads = 1;
+  MalivaService reference(scenario_, config);
+  std::map<uint64_t, Result<RewriteResponse>> misses;
+  size_t hits = 0;
+  size_t replays = 0;
+  auto check = [&](const RewriteRequest& req, uint64_t fp,
+                   const Result<RewriteResponse>& got, const std::string& where) {
+    SCOPED_TRACE(where);
+    ASSERT_NE(fp, 0u);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    const RewriteResponse& resp = got.value();
+    auto it = misses.find(fp);
+    if (!resp.stats.result_cache_hit) {
+      // A miss: the first computation of its context must be new, and any
+      // later recomputation (a fresh service) must reproduce it.
+      ASSERT_FALSE(resp.stats.result_cache_coalesced);
+      if (it == misses.end()) {
+        misses.emplace(fp, got);
+        return;
+      }
+    } else {
+      ASSERT_NE(it, misses.end()) << "a hit on a context no miss computed";
+      ++hits;
+      if (resp.stats.result_cache_coalesced) ++replays;
+    }
+    ExpectSameDecision(it->second, got);
+    EXPECT_EQ(ReplayDriver::ResponseDigest(got), ReplayDriver::ResponseDigest(it->second));
+    const std::string sql = resp.option != nullptr
+                                ? RewrittenQuery{req.query, *resp.option}.ToString()
+                                : req.query->ToString();
+    EXPECT_EQ(resp.rewritten_sql, sql);
+  };
+
+  // Serve, twice per request: the second call is always a hit.
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const uint64_t fp = reference.FingerprintRequest(requests[i]);
+    check(requests[i], fp, reference.Serve(requests[i]), "Serve #" + std::to_string(i));
+    const uint64_t collected = reference.Stats().selectivities_collected;
+    Result<RewriteResponse> hit = reference.Serve(requests[i]);
+    ASSERT_TRUE(hit.ok());
+    EXPECT_TRUE(hit.value().stats.result_cache_hit);
+    check(requests[i], fp, hit, "Serve hit #" + std::to_string(i));
+    EXPECT_EQ(reference.Stats().selectivities_collected, collected);
+  }
+  const size_t contexts = misses.size();
+  EXPECT_GT(contexts, 40u);
+  EXPECT_LT(contexts, requests.size());  // the draw repeats contexts
+
+  // ServeBatch on fresh services: the first batch searches each context
+  // once and coalesces its repeats, the second replays everything.
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    ServiceConfig batch_config = config;
+    batch_config.num_threads = threads;
+    MalivaService service(scenario_, batch_config);
+    for (int pass = 0; pass < 2; ++pass) {
+      const uint64_t collected = service.Stats().selectivities_collected;
+      std::vector<Result<RewriteResponse>> got = service.ServeBatch(requests);
+      ASSERT_EQ(got.size(), requests.size());
+      uint64_t searched = 0;
+      for (size_t i = 0; i < requests.size(); ++i) {
+        check(requests[i], service.FingerprintRequest(requests[i]), got[i],
+              "ServeBatch threads " + std::to_string(threads) + " pass " +
+                  std::to_string(pass) + " #" + std::to_string(i));
+        if (got[i].ok() && !got[i].value().stats.result_cache_hit) {
+          searched += got[i].value().stats.selectivities_collected;
+        }
+      }
+      // Only the searches bill selectivity work; the second pass has none.
+      EXPECT_EQ(service.Stats().selectivities_collected - collected, searched);
+      if (pass == 1) EXPECT_EQ(searched, 0u);
+    }
+    EXPECT_EQ(service.Stats().result_cache_misses, contexts);
+  }
+
+  // The fleet, without admission: Serve twice per request, then a batch
+  // that the cache answers whole.
+  {
+    MalivaFleet fleet(FleetConfig().WithDefaults(config).WithWarmupThreads(0));
+    ASSERT_TRUE(fleet.RegisterScenario("tweets", scenario_).ok());
+    const MalivaService& shard = *fleet.ServiceFor("tweets").value();
+    for (size_t i = 0; i < requests.size(); ++i) {
+      const uint64_t fp = shard.FingerprintRequest(requests[i]);
+      for (int copy = 0; copy < 2; ++copy) {
+        check(requests[i], fp, fleet.Serve(requests[i]),
+              "fleet Serve #" + std::to_string(i) + "." + std::to_string(copy));
+      }
+    }
+    const uint64_t collected = fleet.Stats().totals.selectivities_collected;
+    std::vector<Result<RewriteResponse>> got = fleet.ServeBatch(requests);
+    ASSERT_EQ(got.size(), requests.size());
+    for (size_t i = 0; i < requests.size(); ++i) {
+      EXPECT_TRUE(got[i].ok() && got[i].value().stats.result_cache_hit) << i;
+      check(requests[i], shard.FingerprintRequest(requests[i]), got[i],
+            "fleet ServeBatch #" + std::to_string(i));
+    }
+    EXPECT_EQ(fleet.Stats().totals.selectivities_collected, collected);
+  }
+
+  // The fleet behind the admission gate, whose ServeAsync answers resident
+  // contexts inline, before the gate decides. The strategies are trained up
+  // front so no first-use training lands in the gate's serve-time estimate.
+  {
+    AdmissionConfig admission;
+    admission.enabled = true;
+    admission.slack_factor = 10.0;
+    MalivaFleet fleet(FleetConfig()
+                          .WithDefaults(config)
+                          .WithWarmupThreads(0)
+                          .WithAdmission(admission));
+    ASSERT_TRUE(fleet.RegisterScenario("tweets", scenario_).ok());
+    const MalivaService& shard = *fleet.ServiceFor("tweets").value();
+    for (const char* name : strategies) ASSERT_TRUE(shard.GetRewriter(name).ok()) << name;
+    for (size_t i = 0; i < requests.size(); ++i) {
+      Result<RewriteResponse> got = fleet.Serve(requests[i]);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ASSERT_FALSE(got.value().stats.degraded) << i;
+      check(requests[i], shard.FingerprintRequest(requests[i]), got,
+            "gated fleet Serve #" + std::to_string(i));
+    }
+    const uint64_t collected = fleet.Stats().totals.selectivities_collected;
+    for (size_t i = 0; i < requests.size(); ++i) {
+      std::optional<Result<RewriteResponse>> got;
+      ASSERT_TRUE(fleet
+                      .ServeAsync(requests[i],
+                                  [&got](Result<RewriteResponse> response) {
+                                    got = std::move(response);
+                                  })
+                      .ok());
+      // A resident context is answered inline, so `done` has already run.
+      ASSERT_TRUE(got.has_value()) << i;
+      EXPECT_TRUE(got->ok() && got->value().stats.result_cache_hit) << i;
+      check(requests[i], shard.FingerprintRequest(requests[i]), *got,
+            "fleet ServeAsync #" + std::to_string(i));
+    }
+    EXPECT_EQ(fleet.Stats().totals.selectivities_collected, collected);
+  }
+  EXPECT_GE(hits, 4 * requests.size());
+  EXPECT_GT(replays, 0u);
+  EXPECT_EQ(misses.size(), contexts);
 }
 
 TEST_F(ResultCacheServiceTest, HitsDoNotRebillSelectivityTelemetry) {

@@ -1,5 +1,5 @@
 // Concurrent serving core tests: parallel ServeBatch byte-equality with
-// sequential serving, Warmup semantics, and the per-request session plumbing.
+// sequential serving, Warmup semantics, and request validation.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "core/rewrite_session.h"
 #include "service/service.h"
 #include "util/thread_pool.h"
 
@@ -207,16 +206,6 @@ TEST_F(ServiceConcurrencyTest, NanRequestFieldsAreRejected) {
   bad_floor.quality_floor = nan;
   EXPECT_EQ(service.Serve(bad_floor).status().code(),
             Status::Code::kInvalidArgument);
-}
-
-TEST_F(ServiceConcurrencyTest, SessionSeedsDeriveFromRequestIndexNotThreadOrder) {
-  // The per-request seed mapping is a pure function of (base, index): no
-  // dependence on which worker serves the request or in what order.
-  const uint64_t base = 1234567;
-  EXPECT_EQ(RewriteSession::SeedFor(base, 0), RewriteSession::SeedFor(base, 0));
-  EXPECT_NE(RewriteSession::SeedFor(base, 0), RewriteSession::SeedFor(base, 1));
-  EXPECT_NE(RewriteSession::SeedFor(base, 1), RewriteSession::SeedFor(base, 2));
-  EXPECT_NE(RewriteSession::SeedFor(base + 1, 0), RewriteSession::SeedFor(base, 0));
 }
 
 TEST_F(ServiceConcurrencyTest, ThreadPoolRunsEveryIndexExactlyOnce) {
