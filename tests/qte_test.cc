@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "qte/accurate_qte.h"
 #include "qte/sampling_qte.h"
 #include "test_helpers.h"
+#include "workload/scenario.h"
 
 namespace maliva {
 namespace {
@@ -183,6 +186,81 @@ TEST(PlanTimeOracleTest, DistinguishesApproxOptions) {
   sampled.approx = {ApproxKind::kSampleTable, 0.2};
   EXPECT_GT(oracle.TrueTimeMs(q, exact), oracle.TrueTimeMs(q, sampled));
   EXPECT_EQ(oracle.CacheSize(), 2u);
+}
+
+/// One training grid: a scenario's own option set crossed with approximation
+/// rules, executed over its first queries.
+struct GridCase {
+  const char* name;
+  ScenarioConfig config;
+  std::vector<ApproxRule> rules;
+};
+
+std::vector<GridCase> GridCases() {
+  auto config = [](DatasetKind kind, uint64_t seed) {
+    ScenarioConfig c;
+    c.kind = kind;
+    c.num_rows = 3000;
+    c.num_users = 400;
+    c.num_queries = 24;
+    c.seed = seed;
+    return c;
+  };
+  const ApproxRule limit10{ApproxKind::kLimit, 0.1};
+  std::vector<GridCase> cases;
+  cases.push_back({"twitter", config(DatasetKind::kTwitter, 31), {limit10}});
+  // Plan instability on: some executions re-plan and ignore their hints.
+  GridCase taxi{"taxi-commercial", config(DatasetKind::kTaxi, 32), {limit10}};
+  taxi.config.output = OutputKind::kScatter;
+  taxi.config.profile = EngineProfile::CommercialLike();
+  cases.push_back(taxi);
+  GridCase tpch{"tpch-samples",
+                config(DatasetKind::kTpch, 33),
+                {{ApproxKind::kSampleTable, 0.2}, {ApproxKind::kSampleTable, 0.4}, limit10}};
+  tpch.config.approx_sample_rates = {0.2, 0.4};
+  cases.push_back(tpch);
+  GridCase join{"twitter-join", config(DatasetKind::kTwitter, 34), {}};
+  join.config.join = true;
+  join.config.output = OutputKind::kScatter;
+  cases.push_back(join);
+  GridCase join_commercial = join;
+  join_commercial.name = "twitter-join-commercial";
+  join_commercial.config.profile = EngineProfile::CommercialLike();
+  cases.push_back(join_commercial);
+  return cases;
+}
+
+std::vector<const Query*> GridQueries(const Scenario& s) {
+  std::vector<const Query*> queries;
+  for (size_t i = 0; i < s.queries.size() && i < 12; ++i) queries.push_back(&s.queries[i]);
+  return queries;
+}
+
+TEST(PlanTimeOracleTest, PrefillMatchesPerOptionExecution) {
+  // The parallel prefill fills the memo with exactly the times that executing
+  // each option on its own would give, bit for bit, and nothing else.
+  for (const GridCase& gc : GridCases()) {
+    SCOPED_TRACE(gc.name);
+    Scenario s = BuildScenario(gc.config);
+    const RewriteOptionSet options = CrossWithApproxRules(s.options, gc.rules, true);
+    const std::vector<const Query*> queries = GridQueries(s);
+    PlanTimeOracle prefilled(s.engine.get());
+    PrefillTrueTimes(prefilled, queries, options);
+    const size_t prefilled_size = prefilled.CacheSize();
+
+    PlanTimeOracle single(s.engine.get());
+    for (const Query* q : queries) {
+      for (const RewriteOption& option : options) {
+        const double want = single.TrueTimeMs(*q, option);
+        const double got = prefilled.TrueTimeMs(*q, option);
+        EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+            << "query " << q->id << " option " << option.ToString(q->predicates.size())
+            << ": " << got << " vs " << want;
+      }
+    }
+    EXPECT_EQ(prefilled_size, single.CacheSize());
+    EXPECT_EQ(prefilled.CacheSize(), prefilled_size);
+  }
 }
 
 }  // namespace
