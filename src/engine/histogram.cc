@@ -42,7 +42,7 @@ double ColumnHistogram::CdfAt(double x) const {
 }
 
 double ColumnHistogram::EstimateRange(double lo, double hi) const {
-  if (rows_ == 0 || hi < lo) return 0.0;
+  if (rows_ == 0 || !(lo <= hi)) return 0.0;  // inverted or NaN: empty
   if (width_ <= 0.0) {
     // All values equal: the range either covers the point mass or misses it.
     return (lo <= min_ && min_ <= hi) ? 1.0 : 0.0;
@@ -106,7 +106,7 @@ double SpatialGridHistogram::MassBelow(double u, double v) const {
 }
 
 double SpatialGridHistogram::EstimateBox(const BoundingBox& box) const {
-  if (rows_ == 0 || box.max_lon < box.min_lon || box.max_lat < box.min_lat) {
+  if (rows_ == 0 || !(box.min_lon <= box.max_lon) || !(box.min_lat <= box.max_lat)) {
     return 0.0;
   }
   if (!box.Intersects(bounds_)) return 0.0;

@@ -26,7 +26,7 @@ EquiDepthHistogram::EquiDepthHistogram(const Column& column, size_t num_buckets)
 }
 
 double EquiDepthHistogram::EstimateSelectivity(double lo, double hi) const {
-  if (bounds_.size() < 2 || hi < lo) return 0.0;
+  if (bounds_.size() < 2 || !(lo <= hi)) return 0.0;
   size_t nb = bounds_.size() - 1;
   double per_bucket = 1.0 / static_cast<double>(nb);
   double sel = 0.0;

@@ -33,13 +33,13 @@ std::pair<size_t, size_t> BTreeIndex::EqualRange(double lo, double hi) const {
 }
 
 size_t BTreeIndex::RangeCount(double lo, double hi) const {
-  if (hi < lo) return 0;
+  if (!(lo <= hi)) return 0;  // inverted or NaN: matches nothing
   auto [first, last] = EqualRange(lo, hi);
   return last - first;
 }
 
 RowIdList BTreeIndex::RangeScan(double lo, double hi) const {
-  if (hi < lo) return {};
+  if (!(lo <= hi)) return {};
   auto [first, last] = EqualRange(lo, hi);
   RowIdList out(rows_.begin() + static_cast<ptrdiff_t>(first),
                 rows_.begin() + static_cast<ptrdiff_t>(last));

@@ -21,10 +21,12 @@ class BTreeIndex {
   /// Builds the index over `table[column]`. The column must be numeric.
   BTreeIndex(const Table& table, const std::string& column);
 
-  /// Number of rows with key in [lo, hi] (inclusive).
+  /// Number of rows with key in [lo, hi] (inclusive; none when hi < lo or a
+  /// bound is NaN, as under Range::Contains).
   size_t RangeCount(double lo, double hi) const;
 
-  /// Sorted row ids with key in [lo, hi] (inclusive).
+  /// Sorted row ids with key in [lo, hi] (inclusive; empty where RangeCount
+  /// is 0).
   RowIdList RangeScan(double lo, double hi) const;
 
   /// Smallest / largest key present (0 when empty).

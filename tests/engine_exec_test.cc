@@ -5,6 +5,7 @@
 
 #include <bit>
 #include <cstdio>
+#include <limits>
 #include <set>
 
 #include "engine/optimizer.h"
@@ -179,6 +180,40 @@ TEST(ExecutorTest, EmptyResultQueries) {
     Result<ExecResult> r = engine->ExecutePlan(q, spec);
     ASSERT_TRUE(r.ok());
     EXPECT_TRUE(r.value().vis.ids.empty());
+  }
+}
+
+TEST(ExecutorTest, NanBoundsMatchNothingOnEveryPath) {
+  // A NaN bound matches no row under Range::Contains and BoundingBox::Contains,
+  // so the B-tree, the R-tree, the full scan and every selectivity tier must
+  // agree that it selects nothing.
+  auto engine = SmallEngine(4000, 7);
+  ASSERT_TRUE(engine->BuildSampleTables("tweets", {0.05}, 3).ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<Query> queries = {
+      SmallQuery(41, "w1", nan, 7000, {0, 0, 100, 50}, OutputKind::kHeatmap),
+      SmallQuery(42, "w1", 2000, nan, {0, 0, 100, 50}, OutputKind::kHeatmap),
+      SmallQuery(43, "w1", nan, nan, {0, 0, 100, 50}, OutputKind::kHeatmap),
+      SmallQuery(44, "w1", 0, 9999, {nan, 0, 100, 50}, OutputKind::kHeatmap),
+      SmallQuery(45, "w1", 0, 9999, {0, 0, 100, nan}, OutputKind::kHeatmap)};
+  const size_t sample_n = engine->FindEntry("tweets#sample50")->table->NumRows();
+  for (const Query& q : queries) {
+    SCOPED_TRACE(q.id);
+    for (uint32_t mask = 0; mask < 8; ++mask) {
+      PlanSpec spec;
+      spec.index_mask = mask;
+      Result<ExecResult> r = engine->ExecutePlan(q, spec);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_TRUE(r.value().vis.bins.empty()) << "mask " << mask;
+      EXPECT_EQ(r.value().cards.output_rows, 0.0) << "mask " << mask;
+    }
+    const Predicate& nan_pred = q.id <= 43 ? q.predicates[1] : q.predicates[2];
+    EXPECT_EQ(engine->TrueSelectivity("tweets", nan_pred).value(), 0.0);
+    EXPECT_DOUBLE_EQ(engine->SampledSelectivity("tweets", nan_pred, 0.05).value(),
+                     0.5 / static_cast<double>(sample_n + 1));
+    EXPECT_EQ(engine->HistogramSelectivity("tweets", nan_pred, engine->catalog_version())
+                  .value(),
+              0.0);
   }
 }
 

@@ -200,8 +200,10 @@ TEST(Histogram, SeededEstimatesLieInTheUnitIntervalOnEveryDataset) {
   // spatial estimate lies in [0, 1] — for random ranges and boxes (either
   // orientation), inverted ones, zero-width ones at data values, ones
   // wholly outside the column's domain or the R-tree's Bounds(), ones
-  // covering everything, and ones with infinite or huge endpoints.
+  // covering everything, ones with infinite or huge endpoints, and ones with
+  // a NaN endpoint or corner.
   constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
   constexpr size_t kDrawsPerColumn = 300;
   for (DatasetKind kind : {DatasetKind::kTwitter, DatasetKind::kTaxi, DatasetKind::kTpch}) {
     ScenarioConfig cfg;
@@ -290,6 +292,13 @@ TEST(Histogram, SeededEstimatesLieInTheUnitIntervalOnEveryDataset) {
             }
           }
         }
+        // A NaN endpoint matches no row under Range::Contains.
+        for (double other : {-kInf, lo_dom, hi_dom, kInf, kNan}) {
+          ExpectEstimateInUnitInterval(*scenario.engine, table_name, make(kNan, other), 0.0,
+                                       what_col + " NaN lo");
+          ExpectEstimateInUnitInterval(*scenario.engine, table_name, make(other, kNan), 0.0,
+                                       what_col + " NaN hi");
+        }
       } else if (col.type() == ColumnType::kPoint) {
         auto rtree = entry->rtrees.find(col.name());
         ASSERT_NE(rtree, entry->rtrees.end()) << what_col;
@@ -372,6 +381,16 @@ TEST(Histogram, SeededEstimatesLieInTheUnitIntervalOnEveryDataset) {
               break;
             }
           }
+        }
+        // A NaN corner matches no point under BoundingBox::Contains.
+        for (int corner = 0; corner <= 4; ++corner) {
+          double c[] = {bounds.min_lon, bounds.min_lat, bounds.max_lon, bounds.max_lat};
+          for (int i = 0; i < 4; ++i) {
+            if (i == corner || corner == 4) c[i] = kNan;
+          }
+          ExpectEstimateInUnitInterval(*scenario.engine, table_name,
+                                       box(c[0], c[1], c[2], c[3]), 0.0,
+                                       what_col + " NaN corner " + std::to_string(corner));
         }
       }
     }
