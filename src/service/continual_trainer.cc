@@ -94,7 +94,14 @@ void ContinualTrainer::MaybeScheduleRound(KeyState& state) {
   // One round in flight per key; exchange() is the claim — losers back off.
   if (state.inflight.exchange(true, std::memory_order_acq_rel)) return;
   pool_->Submit([this, &state] {
-    RunRound(state);
+    // The pool's tasks must not throw. A round that does (its estimator or
+    // oracle failed mid-sweep) publishes nothing and counts as rejected; the
+    // key stays free for its next round.
+    try {
+      RunRound(state);
+    } catch (...) {
+      rejected_.fetch_add(1, std::memory_order_relaxed);
+    }
     state.inflight.store(false, std::memory_order_release);
     // Re-arm: feedback that crossed the threshold again *during* the round
     // must not wait for the next Record() — traffic may have stopped.

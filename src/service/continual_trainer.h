@@ -81,7 +81,8 @@ class ContinualTrainer {
     uint64_t transitions_pending = 0;   ///< buffered, awaiting a round
     uint64_t retrains_published = 0;    ///< rounds that passed the gate
     /// Rounds refused by the gate, plus rounds dropped because their
-    /// incumbent was rolled back mid-round (conditional publish failed).
+    /// incumbent was rolled back mid-round (conditional publish failed), plus
+    /// background rounds that threw.
     uint64_t retrains_rejected = 0;
     uint64_t snapshot_version = 0;      ///< newest version across keys
     double last_reward_pre = 0.0;       ///< incumbent's reward, last round
@@ -114,7 +115,8 @@ class ContinualTrainer {
   /// Runs one fine-tune round for `key` synchronously on the caller's
   /// thread, draining whatever feedback is buffered (no minimum). Returns
   /// true when a new snapshot version was published, false when there was
-  /// nothing to train on or the validation gate rejected the clone.
+  /// nothing to train on or the validation gate rejected the clone. An
+  /// exception out of the round propagates to the caller.
   bool RetrainNow(const std::string& key);
 
   /// Blocks until every scheduled background round has finished.

@@ -10,17 +10,23 @@
 //     retrain pressure;
 //   * a failed validation gate leaves the serving snapshot untouched, and
 //     ModelRegistry::Rollback restores the predecessor (never past v1);
+//   * a background round that throws is counted as rejected, publishes
+//     nothing, and leaves the key able to train again;
 //   * ServiceConfig::Validate() rejects online-knob pathologies;
 //   * on a drifted query stream, continual retraining publishes new
 //     versions and serves more viable queries than the frozen agent.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "qte/accurate_qte.h"
+#include "service/continual_trainer.h"
 #include "service/service.h"
 #include "workload/query_gen.h"
 
@@ -259,6 +265,79 @@ TEST_F(ServiceOnlineTest, FailedValidationGateKeepsServingOldSnapshot) {
   Result<RewriteResponse> resp = service.Serve(req);
   ASSERT_TRUE(resp.ok());
   EXPECT_EQ(resp.value().stats.agent_snapshot_version, 1u);
+}
+
+/// The accurate QTE until armed; armed, every estimate throws.
+class ThrowingQte : public QueryTimeEstimator {
+ public:
+  const char* name() const override { return "throwing"; }
+  QteEstimate Estimate(const QteContext& ctx, size_t ro_index,
+                       SelectivityCache* cache) const override {
+    if (armed.load()) throw std::runtime_error("estimator failed");
+    return accurate_.Estimate(ctx, ro_index, cache);
+  }
+
+  std::atomic<bool> armed{false};
+
+ private:
+  AccurateQte accurate_;
+};
+
+TEST_F(ServiceOnlineTest, ThrowingBackgroundRoundIsRejectedAndTheNextPublishes) {
+  // A round's validation sweep estimates through the key's QTE; one that
+  // throws on the trainer's pool must not end the process. It publishes
+  // nothing, counts as rejected, and the key's next round runs as usual.
+  ThrowingQte qte;
+  RewriterEnv renv;
+  renv.engine = scenario_->engine.get();
+  renv.oracle = scenario_->oracle.get();
+  renv.options = &scenario_->options;
+  renv.qte = &qte;
+  renv.qte_params = scenario_->config.qte;
+  renv.env_config.tau_ms = scenario_->config.tau_ms;
+  ModelRegistry registry;
+  const std::vector<const Query*> validation(scenario_->validation.begin(),
+                                             scenario_->validation.begin() + 4);
+  ContinualTrainer::Config config;
+  config.min_transitions = 16;
+  config.gradient_steps = 4;
+  config.gate_tolerance = 1e9;  // the gate itself never refuses
+  ContinualTrainer trainer(&registry, config);
+  const std::string key = "agent/throwing";
+  const size_t num_actions = scenario_->options.size();
+  trainer.RegisterKey(key, renv, &validation, QAgent(num_actions, 5));
+  ASSERT_EQ(trainer.Snapshot().snapshot_version, 1u);
+
+  auto feedback = [&] {
+    std::vector<Experience> transitions(config.min_transitions);
+    for (size_t i = 0; i < transitions.size(); ++i) {
+      Experience& e = transitions[i];
+      e.state.assign(2 * num_actions + 1, 0.1 * static_cast<double>(i % 7));
+      e.action = static_cast<int>(i % num_actions);
+      e.reward = 0.5;
+      e.terminal = true;
+      e.next_state = e.state;
+      e.next_valid.assign(num_actions, 0);
+    }
+    return transitions;
+  };
+
+  qte.armed = true;
+  trainer.Record(key, feedback());
+  trainer.WaitIdle();
+  ContinualTrainer::StatsSnapshot stats = trainer.Snapshot();
+  EXPECT_EQ(stats.retrains_rejected, 1u);
+  EXPECT_EQ(stats.retrains_published, 0u);
+  EXPECT_EQ(stats.snapshot_version, 1u);
+  EXPECT_EQ(stats.transitions_pending, 0u);
+
+  qte.armed = false;
+  trainer.Record(key, feedback());
+  trainer.WaitIdle();
+  stats = trainer.Snapshot();
+  EXPECT_EQ(stats.retrains_rejected, 1u);
+  EXPECT_EQ(stats.retrains_published, 1u);
+  EXPECT_EQ(stats.snapshot_version, 2u);
 }
 
 TEST_F(ServiceOnlineTest, RegistryRollbackRestoresPredecessorButNeverV1) {
