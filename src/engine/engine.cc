@@ -86,6 +86,20 @@ std::vector<RowPredicate> ResolvePredicates(const TableEntry& entry,
   return out;
 }
 
+/// Name of the index kind that serves `type` in a FailedPrecondition.
+const char* IndexKindName(PredicateType type) {
+  switch (type) {
+    case PredicateType::kKeyword:
+      return "inverted";
+    case PredicateType::kSpatialBox:
+      return "rtree";
+    case PredicateType::kTimeRange:
+    case PredicateType::kNumericRange:
+      break;
+  }
+  return "btree";
+}
+
 /// Deterministic 64-bit seed from the execution identity (query, plan).
 uint64_t MixSeed(uint64_t engine_seed, const Query& query, const PlanSpec& spec) {
   uint64_t h = engine_seed;
@@ -370,13 +384,39 @@ double Engine::EstimateOutputCardinality(const Query& q) const {
   return sel * static_cast<double>(entry->table->NumRows());
 }
 
-Result<ExecResult> Engine::Execute(const RewrittenQuery& rq) const {
+Result<ExecResult> Engine::Execute(const RewrittenQuery& rq, ProbeMemo* memo) const {
   assert(rq.query != nullptr);
   PlanSpec spec = optimizer_->ResolvePlan(*rq.query, rq.option);
-  return ExecutePlan(*rq.query, spec);
+  return ExecutePlan(*rq.query, spec, memo);
 }
 
-Result<ExecResult> Engine::ExecutePlan(const Query& query, const PlanSpec& spec) const {
+const RowIdList* Engine::IndexRows(const TableEntry& entry, const Predicate& pred,
+                                   ProbeMemo* memo, bool probe) {
+  if (pred.type == PredicateType::kKeyword) {
+    auto it = entry.inverted.find(pred.column);
+    return it == entry.inverted.end() ? nullptr : &it->second->Lookup(pred.keyword);
+  }
+  for (const ProbeMemo::Probe& held : memo->probes_) {
+    if (held.entry == &entry && held.pred == &pred) return &held.rows;
+  }
+  if (!probe) return nullptr;
+  RowIdList rows;
+  if (pred.type == PredicateType::kSpatialBox) {
+    auto it = entry.rtrees.find(pred.column);
+    if (it == entry.rtrees.end()) return nullptr;
+    rows = it->second->Query(pred.box);
+  } else {
+    auto it = entry.btrees.find(pred.column);
+    if (it == entry.btrees.end()) return nullptr;
+    rows = it->second->RangeScan(pred.range.lo, pred.range.hi);
+  }
+  return &memo->probes_.emplace_back(ProbeMemo::Probe{&entry, &pred, std::move(rows)}).rows;
+}
+
+Result<ExecResult> Engine::ExecutePlan(const Query& query, const PlanSpec& spec,
+                                       ProbeMemo* memo) const {
+  ProbeMemo local_memo;
+  if (memo == nullptr) memo = &local_memo;
   Rng rng(MixSeed(seed_, query, spec));
 
   // Commercial-DB behaviour: occasionally the engine re-plans dynamically and
@@ -423,69 +463,62 @@ Result<ExecResult> Engine::ExecutePlan(const Query& query, const PlanSpec& spec)
   uint32_t mask = effective.index_mask;
 
   if (mask == 0) {
-    // Full scan; evaluate cheap (non-keyword) predicates first.
-    std::vector<size_t> order;
-    for (size_t i = 0; i < m; ++i) {
-      if (query.predicates[i].type != PredicateType::kKeyword) order.push_back(i);
-    }
-    for (size_t i = 0; i < m; ++i) {
-      if (query.predicates[i].type == PredicateType::kKeyword) order.push_back(i);
+    // A full scan matches exactly the row-order intersection of its
+    // predicates' sorted rows, and stops at the LIMIT's last row. So when
+    // every predicate's rows are at hand without a new probe (the memo holds
+    // every range and spatial list, as after a training grid's all-index
+    // option), the matches are read from them instead of scanned for.
+    std::vector<const RowIdList*> held;
+    for (const Predicate& p : query.predicates) {
+      const RowIdList* rows = IndexRows(*entry, p, memo, /*probe=*/false);
+      if (rows == nullptr) break;
+      held.push_back(rows);
     }
     size_t scanned = 0;
-    for (RowId row = 0; row < n; ++row) {
-      ++scanned;
-      bool ok = true;
-      for (size_t i : order) {
-        if (!eval[i](row)) {
-          ok = false;
-          break;
-        }
+    if (m > 0 && held.size() == m) {
+      RowIdList intersection;
+      const RowIdList& rows = IntersectAll(std::move(held), &intersection);
+      matched.assign(rows.begin(), rows.begin() + static_cast<ptrdiff_t>(
+                                                      std::min(rows.size(), limit_actual)));
+      scanned = matched.size() >= limit_actual ? matched.back() + 1 : n;
+    } else {
+      // Evaluate cheap (non-keyword) predicates first.
+      std::vector<size_t> order;
+      for (size_t i = 0; i < m; ++i) {
+        if (query.predicates[i].type != PredicateType::kKeyword) order.push_back(i);
       }
-      if (ok) {
-        matched.push_back(row);
-        if (matched.size() >= limit_actual) break;
+      for (size_t i = 0; i < m; ++i) {
+        if (query.predicates[i].type == PredicateType::kKeyword) order.push_back(i);
+      }
+      for (RowId row = 0; row < n; ++row) {
+        ++scanned;
+        bool ok = true;
+        for (size_t i : order) {
+          if (!eval[i](row)) {
+            ok = false;
+            break;
+          }
+        }
+        if (ok) {
+          matched.push_back(row);
+          if (matched.size() >= limit_actual) break;
+        }
       }
     }
     cards.scanned_rows = static_cast<double>(scanned) * scale;
     cards.scan_preds = static_cast<double>(m);
   } else {
     // Index path: fetch postings for hinted predicates, intersect, then
-    // residual-filter the survivors. Inverted postings are referenced in
-    // place; range and spatial probes materialize their lists.
-    std::vector<RowIdList> fetched;
-    fetched.reserve(m);  // list_ptrs point into it: no reallocation
+    // residual-filter the survivors.
     std::vector<const RowIdList*> list_ptrs;
     list_ptrs.reserve(m);
     for (size_t i = 0; i < m; ++i) {
       if (((mask >> i) & 1u) == 0) continue;
       const Predicate& p = query.predicates[i];
-      const RowIdList* list = nullptr;
-      switch (p.type) {
-        case PredicateType::kKeyword: {
-          auto it = entry->inverted.find(p.column);
-          if (it == entry->inverted.end()) {
-            return Status::FailedPrecondition("no inverted index on " + p.column);
-          }
-          list = &it->second->Lookup(p.keyword);
-          break;
-        }
-        case PredicateType::kTimeRange:
-        case PredicateType::kNumericRange: {
-          auto it = entry->btrees.find(p.column);
-          if (it == entry->btrees.end()) {
-            return Status::FailedPrecondition("no btree index on " + p.column);
-          }
-          list = &fetched.emplace_back(it->second->RangeScan(p.range.lo, p.range.hi));
-          break;
-        }
-        case PredicateType::kSpatialBox: {
-          auto it = entry->rtrees.find(p.column);
-          if (it == entry->rtrees.end()) {
-            return Status::FailedPrecondition("no rtree index on " + p.column);
-          }
-          list = &fetched.emplace_back(it->second->Query(p.box));
-          break;
-        }
+      const RowIdList* list = IndexRows(*entry, p, memo, /*probe=*/true);
+      if (list == nullptr) {
+        return Status::FailedPrecondition(std::string("no ") + IndexKindName(p.type) +
+                                          " index on " + p.column);
       }
       cards.postings.push_back(static_cast<double>(list->size()) * scale);
       list_ptrs.push_back(list);
@@ -545,28 +578,26 @@ Result<ExecResult> Engine::ExecutePlan(const Query& query, const PlanSpec& spec)
 
     // Pre-filter the right side for hash/merge via the B+ tree on the first
     // right predicate (residual-check the rest).
-    auto filtered_right = [&]() -> RowIdList {
-      RowIdList rows;
+    RowIdList right_kept;
+    auto filtered_right = [&]() -> const RowIdList& {
       if (!js.right_predicates.empty()) {
         const Predicate& p0 = js.right_predicates[0];
-        auto it = right->btrees.find(p0.column);
-        if (it != right->btrees.end() && p0.type != PredicateType::kKeyword &&
-            p0.type != PredicateType::kSpatialBox) {
-          rows = it->second->RangeScan(p0.range.lo, p0.range.hi);
-          if (js.right_predicates.size() > 1) {
-            RowIdList kept;
-            for (RowId r : rows) {
-              if (right_row_passes(r)) kept.push_back(r);
-            }
-            rows = std::move(kept);
+        const RowIdList* probed = nullptr;
+        if (p0.type == PredicateType::kTimeRange || p0.type == PredicateType::kNumericRange) {
+          probed = IndexRows(*right, p0, memo, /*probe=*/true);
+        }
+        if (probed != nullptr) {
+          if (js.right_predicates.size() == 1) return *probed;
+          for (RowId r : *probed) {
+            if (right_row_passes(r)) right_kept.push_back(r);
           }
-          return rows;
+          return right_kept;
         }
       }
       for (RowId r = 0; r < rtable.NumRows(); ++r) {
-        if (right_row_passes(r)) rows.push_back(r);
+        if (right_row_passes(r)) right_kept.push_back(r);
       }
-      return rows;
+      return right_kept;
     };
 
     switch (effective.join_method) {
@@ -588,7 +619,7 @@ Result<ExecResult> Engine::ExecutePlan(const Query& query, const PlanSpec& spec)
         break;
       }
       case JoinMethod::kHash: {
-        RowIdList rrows = filtered_right();
+        const RowIdList& rrows = filtered_right();
         cards.right_scanned = static_cast<double>(rrows.size()) * scale;
         cards.build_rows = static_cast<double>(rrows.size()) * scale;
         cards.probe_rows = static_cast<double>(matched.size()) * scale;
@@ -602,7 +633,7 @@ Result<ExecResult> Engine::ExecutePlan(const Query& query, const PlanSpec& spec)
         break;
       }
       case JoinMethod::kMerge: {
-        RowIdList rrows = filtered_right();
+        const RowIdList& rrows = filtered_right();
         cards.right_scanned = static_cast<double>(rrows.size()) * scale;
         cards.sort_rows =
             static_cast<double>(matched.size() + rrows.size()) * scale;

@@ -8,6 +8,7 @@
 #define MALIVA_ENGINE_ENGINE_H_
 
 #include <atomic>
+#include <list>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -45,6 +46,24 @@ struct TableEntry {
   /// formatting the name string per probe. Catalog entries are node-stable,
   /// so the cached pointers survive rehashing.
   std::unordered_map<int, const TableEntry*> samples;
+};
+
+/// The range and spatial index probes of one query, each materialized and
+/// sorted once and then shared by every execution of that query handed the
+/// same memo: a training grid executes all of a query's rewrite options
+/// (PrefillTrueTimes), and most of them probe the same predicates. Entries
+/// are keyed by (table entry, predicate), so a sample-table option keys its
+/// own. Keyword postings are referenced in place and never stored. One memo
+/// serves one query, on one thread at a time.
+class ProbeMemo {
+ private:
+  friend class Engine;
+  struct Probe {
+    const TableEntry* entry;
+    const Predicate* pred;
+    RowIdList rows;
+  };
+  std::list<Probe> probes_;  // a list: rows handed out stay put as probes are added
 };
 
 /// The simulated backend database the middleware talks to.
@@ -87,10 +106,15 @@ class Engine {
   /// Executes a rewritten query. When the option leaves choices open
   /// (index_mask unset / join method unset), the optimizer resolves them —
   /// this is exactly the no-rewriting baseline behaviour.
-  Result<ExecResult> Execute(const RewrittenQuery& rq) const;
+  Result<ExecResult> Execute(const RewrittenQuery& rq, ProbeMemo* memo = nullptr) const;
 
-  /// Executes a fully resolved physical plan.
-  Result<ExecResult> ExecutePlan(const Query& query, const PlanSpec& spec) const;
+  /// Executes a fully resolved physical plan. Index probes go through `memo`
+  /// (a call-local one when null): a probe it already holds is reused, and a
+  /// full scan whose predicates' rows it already holds reads its matches
+  /// from their intersection instead of scanning. The result is identical
+  /// either way.
+  Result<ExecResult> ExecutePlan(const Query& query, const PlanSpec& spec,
+                                 ProbeMemo* memo = nullptr) const;
 
   /// Exact selectivity of `pred` over the named table (index-assisted count).
   Result<double> TrueSelectivity(const std::string& table, const Predicate& pred) const;
@@ -134,11 +158,16 @@ class Engine {
   const Optimizer& optimizer() const { return *optimizer_; }
 
  private:
-  friend class Executor;
-
   /// TrueSelectivity body over an already resolved entry (the hot probe path
   /// skips the by-name lookup).
   double TrueSelectivityOnEntry(const TableEntry& entry, const Predicate& pred) const;
+
+  /// Sorted rows of `pred` from its index on `entry`, or nullptr when the
+  /// column has no index of the predicate's kind. A range or spatial probe is
+  /// taken from `memo`, or made and stored there; with `probe` false, one the
+  /// memo does not hold yet is nullptr instead.
+  static const RowIdList* IndexRows(const TableEntry& entry, const Predicate& pred,
+                                    ProbeMemo* memo, bool probe);
 
   EngineProfile profile_;
   CostModel cost_model_;

@@ -7,7 +7,8 @@
 
 namespace maliva {
 
-double PlanTimeOracle::TrueTimeMs(const Query& query, const RewriteOption& option) const {
+double PlanTimeOracle::TrueTimeMs(const Query& query, const RewriteOption& option,
+                                  ProbeMemo* memo) const {
   uint64_t key = RewriteKey(query, option);
   {
     std::shared_lock<std::shared_mutex> lock(mutex_);
@@ -17,7 +18,7 @@ double PlanTimeOracle::TrueTimeMs(const Query& query, const RewriteOption& optio
   // Execute outside the lock: deterministic, so a concurrent duplicate
   // computes the same value and emplace keeps whichever landed first.
   RewrittenQuery rq{&query, option};
-  Result<ExecResult> result = engine_->Execute(rq);
+  Result<ExecResult> result = engine_->Execute(rq, memo);
   assert(result.ok());
   double ms = result.value().exec_ms;
   std::unique_lock<std::shared_mutex> lock(mutex_);
@@ -29,7 +30,10 @@ void PrefillTrueTimes(const PlanTimeOracle& oracle,
                       const std::vector<const Query*>& queries,
                       const RewriteOptionSet& options) {
   ThreadPool::Shared().ParallelFor(queries.size(), [&](size_t i) {
-    for (const RewriteOption& option : options) oracle.TrueTimeMs(*queries[i], option);
+    ProbeMemo memo;
+    for (auto it = options.rbegin(); it != options.rend(); ++it) {
+      oracle.TrueTimeMs(*queries[i], *it, &memo);
+    }
   });
 }
 

@@ -29,8 +29,11 @@ class PlanTimeOracle {
  public:
   explicit PlanTimeOracle(const Engine* engine) : engine_(engine) {}
 
-  /// True virtual execution time of `option` applied to `query`.
-  double TrueTimeMs(const Query& query, const RewriteOption& option) const;
+  /// True virtual execution time of `option` applied to `query`. A miss
+  /// executes through `memo` when one is given (Engine::ExecutePlan), which
+  /// changes what the execution costs on the host, never its result.
+  double TrueTimeMs(const Query& query, const RewriteOption& option,
+                    ProbeMemo* memo = nullptr) const;
 
   /// Number of distinct (query, option) executions performed so far.
   size_t CacheSize() const {
@@ -48,6 +51,11 @@ class PlanTimeOracle {
 /// ThreadPool::Shared(), so a sequential loop that follows (training,
 /// difficulty bucketing) reads its ground truth from the memo. Execution is
 /// deterministic, so nothing downstream depends on whether this ran.
+///
+/// One task owns each query and runs its options through one ProbeMemo, in
+/// reverse order: each index probe is then paid once, and the full-scan
+/// option comes after the all-index one, so it reads its rows from their
+/// probes instead of scanning.
 void PrefillTrueTimes(const PlanTimeOracle& oracle,
                       const std::vector<const Query*>& queries,
                       const RewriteOptionSet& options);

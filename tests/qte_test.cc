@@ -263,5 +263,60 @@ TEST(PlanTimeOracleTest, PrefillMatchesPerOptionExecution) {
   }
 }
 
+/// Field-by-field equality of two executions: the virtual time's bits, the
+/// plan that ran, every PlanCards field and the visualization output.
+void ExpectSameExecution(const ExecResult& got, const ExecResult& want) {
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.exec_ms), std::bit_cast<uint64_t>(want.exec_ms));
+  EXPECT_EQ(got.plan.index_mask, want.plan.index_mask);
+  EXPECT_EQ(got.plan.join_method, want.plan.join_method);
+  EXPECT_EQ(got.plan.approx.kind, want.plan.approx.kind);
+  EXPECT_EQ(got.plan.approx.fraction, want.plan.approx.fraction);
+  const PlanCards& a = got.cards;
+  const PlanCards& b = want.cards;
+  EXPECT_EQ(a.scanned_rows, b.scanned_rows);
+  EXPECT_EQ(a.scan_preds, b.scan_preds);
+  EXPECT_EQ(a.postings, b.postings);
+  EXPECT_EQ(a.candidates, b.candidates);
+  EXPECT_EQ(a.residual_preds, b.residual_preds);
+  EXPECT_EQ(a.output_rows, b.output_rows);
+  EXPECT_EQ(a.heatmap, b.heatmap);
+  EXPECT_EQ(a.has_join, b.has_join);
+  EXPECT_EQ(a.join_method, b.join_method);
+  EXPECT_EQ(a.right_scanned, b.right_scanned);
+  EXPECT_EQ(a.build_rows, b.build_rows);
+  EXPECT_EQ(a.probe_rows, b.probe_rows);
+  EXPECT_EQ(a.nl_outer, b.nl_outer);
+  EXPECT_EQ(a.sort_rows, b.sort_rows);
+  EXPECT_EQ(a.merge_rows, b.merge_rows);
+  EXPECT_EQ(a.join_output, b.join_output);
+  EXPECT_EQ(got.vis.ids, want.vis.ids);
+  EXPECT_EQ(got.vis.bins, want.vis.bins);
+}
+
+TEST(PlanTimeOracleTest, MemoizedGridMatchesLoneExecutions) {
+  // The engine half of the prefill's equivalence: one ProbeMemo carried
+  // across a query's options in the prefill's order (reverse, so the
+  // full-scan option reads its rows from earlier probes) executes each option
+  // exactly as a lone Execute without a memo does.
+  for (const GridCase& gc : GridCases()) {
+    SCOPED_TRACE(gc.name);
+    Scenario s = BuildScenario(gc.config);
+    const RewriteOptionSet options = CrossWithApproxRules(s.options, gc.rules, true);
+    for (const Query* q : GridQueries(s)) {
+      ProbeMemo memo;
+      for (auto it = options.rbegin(); it != options.rend(); ++it) {
+        SCOPED_TRACE("query " + std::to_string(q->id) + " option " +
+                     it->ToString(q->predicates.size()));
+        const RewrittenQuery rq{q, *it};
+        Result<ExecResult> shared = s.engine->Execute(rq, &memo);
+        Result<ExecResult> alone = s.engine->Execute(rq);
+        ASSERT_TRUE(shared.ok()) << shared.status().ToString();
+        ASSERT_TRUE(alone.ok()) << alone.status().ToString();
+        ExpectSameExecution(shared.value(), alone.value());
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace maliva
