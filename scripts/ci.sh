@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification sequence: docs check, configure, build, test.
 #
-# The service layer and the substrate it trains on (src/service/, src/engine/,
-# src/index/, src/ml/) are held to -Wall -Wextra with warnings treated as
-# errors; the rest of the tree builds with default flags.
+# Every library source under src/ is held to -Wall -Wextra with warnings
+# treated as errors; tests, benches and examples build with default flags.
 #
 #   scripts/ci.sh          # docs check + regular build + full test suite
 #   scripts/ci.sh --docs   # docs check only (no build): README/docs/DESIGN
