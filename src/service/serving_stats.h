@@ -132,7 +132,7 @@ struct ServiceStats {
   uint64_t online_transitions_dropped = 0;  ///< evicted before training
   uint64_t online_transitions_pending = 0;  ///< buffered, awaiting a round
   uint64_t online_retrains = 0;          ///< fine-tune rounds published
-  uint64_t online_rejected = 0;          ///< rounds the validation gate refused
+  uint64_t online_rejected = 0;          ///< rounds refused by the gate, dropped, or thrown
   uint64_t online_snapshot_version = 0;  ///< newest agent snapshot version
   double last_retrain_reward_pre = 0.0;  ///< incumbent validation reward
   double last_retrain_reward_post = 0.0; ///< fine-tuned clone's reward
