@@ -1,9 +1,10 @@
-// Shared configuration and helpers for the paper-reproduction benchmarks.
+// Shared configuration and helpers for the bench binaries.
 //
-// Each bench binary regenerates one table/figure of the paper's Section 7
-// (see DESIGN.md's experiment index). Scales are laptop-sized: ~1.5-2x
-// smaller query workloads than the paper, with virtual row counts emulating
-// the 100M-500M-row deployments.
+// bench_paper_claims regenerates the paper's Section 7 tables and figures;
+// the other benches measure the reproduction's own serving mechanisms
+// (docs/experiments.md is the index). Scales are laptop-sized: ~1.5-2x
+// smaller query workloads than the paper, and virtual row counts of 30M-150M
+// (Table 1) standing in for its 100M-500M-row deployments.
 
 #ifndef MALIVA_BENCH_BENCH_COMMON_H_
 #define MALIVA_BENCH_BENCH_COMMON_H_
@@ -35,18 +36,6 @@ inline ScenarioConfig TwitterConfig500ms() {
   return cfg;
 }
 
-inline ScenarioConfig TaxiConfig1s() {
-  ScenarioConfig cfg;
-  cfg.kind = DatasetKind::kTaxi;
-  cfg.num_rows = kBenchRows;
-  cfg.num_queries = kBenchQueries;
-  cfg.tau_ms = 1000.0;
-  cfg.seed = 202;
-  // NYC Taxi emulates 500M rows.
-  cfg.profile.cardinality_scale = 1000.0;
-  return cfg;
-}
-
 inline ScenarioConfig TpchConfig500ms() {
   ScenarioConfig cfg;
   cfg.kind = DatasetKind::kTpch;
@@ -54,13 +43,9 @@ inline ScenarioConfig TpchConfig500ms() {
   cfg.num_queries = kBenchQueries;
   cfg.tau_ms = 500.0;
   cfg.seed = 303;
-  // TPC-H emulates 300M rows.
+  // TPC-H: 150k actual rows x 600 = 90M virtual.
   cfg.profile.cardinality_scale = 600.0;
   return cfg;
-}
-
-inline ServiceConfig DefaultServiceConfig() {
-  return ServiceConfig().WithTrainerIterations(25).WithAgentSeeds(2);
 }
 
 /// Simple wall-clock stopwatch for reporting bench phases.

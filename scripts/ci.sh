@@ -14,6 +14,12 @@
 #                          # running the whole test suite in one process
 #   scripts/ci.sh --asan   # additionally: AddressSanitizer + UBSan build
 #                          # (build-asan/) running the whole test suite
+#   scripts/ci.sh --claims # additionally: the paper-claims gate
+#                          # (build/bench_paper_claims, ~4 min): prints
+#                          # every claim's verdict and the known-failing
+#                          # list, and fails on a claim that fails off the
+#                          # list or holds on it; the figure tables go to
+#                          # build/paper_claims.txt
 #   scripts/ci.sh --bench  # additionally: benchmark determinism self-check
 #                          # (benchmark/run.sh --selfcheck, Release build in
 #                          # build-bench/): smoke runs of every maliva_bench
@@ -91,6 +97,7 @@ check_docs() {
 run_tsan=0
 run_asan=0
 run_bench=0
+run_claims=0
 docs_only=0
 for arg in "$@"; do
   case "$arg" in
@@ -98,12 +105,14 @@ for arg in "$@"; do
     --tsan) run_tsan=1 ;;
     --asan) run_asan=1 ;;
     --bench) run_bench=1 ;;
-    *) echo "unknown option: $arg (supported: --docs, --tsan, --asan, --bench)" >&2; exit 2 ;;
+    --claims) run_claims=1 ;;
+    *) echo "unknown option: $arg (supported: --docs, --tsan, --asan, --bench, --claims)" >&2; exit 2 ;;
   esac
 done
 
 check_docs
-if [[ "$docs_only" == 1 && "$run_tsan" == 0 && "$run_asan" == 0 && "$run_bench" == 0 ]]; then
+if [[ "$docs_only" == 1 && "$run_tsan" == 0 && "$run_asan" == 0 && "$run_bench" == 0 &&
+      "$run_claims" == 0 ]]; then
   exit 0
 fi
 
@@ -240,6 +249,13 @@ fi
 if [[ "$run_asan" == 1 ]]; then
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="print_stacktrace=1" \
     run_sanitizer_leg "ASan+UBSan" build-asan -DMALIVA_ASAN=ON
+fi
+
+if [[ "$run_claims" == 1 ]]; then
+  # Paper-claims leg: the binary's exit status is the gate. Its stderr (one
+  # verdict per claim, then the known-failing list) stays on the console.
+  echo "== paper claims: bench_paper_claims (tables in build/paper_claims.txt) =="
+  ./build/bench_paper_claims > build/paper_claims.txt
 fi
 
 if [[ "$run_bench" == 1 ]]; then

@@ -1,5 +1,6 @@
 #include "harness/experiment.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <iomanip>
@@ -18,16 +19,6 @@ Approach ApproachFor(MalivaService& service, const std::string& strategy) {
   }
   const Rewriter* rewriter = built.value();
   return {rewriter->name(), [rewriter](const Query& q) { return rewriter->Rewrite(q); }};
-}
-
-std::vector<Approach> ApproachesFor(MalivaService& service,
-                                    std::initializer_list<const char*> strategies) {
-  std::vector<Approach> approaches;
-  approaches.reserve(strategies.size());
-  for (const char* strategy : strategies) {
-    approaches.push_back(ApproachFor(service, strategy));
-  }
-  return approaches;
 }
 
 ExperimentResult RunExperiment(const std::vector<Approach>& approaches,
@@ -68,55 +59,49 @@ ExperimentResult RunExperiment(const std::vector<Approach>& approaches,
 
 namespace {
 
-void PrintHeader(const ExperimentResult& result, const std::string& title,
-                 std::ostream& os) {
+/// Writes one table: a title line, a header row of approach names, then one
+/// row per bucket with `cell` of each approach. Columns are 22 characters
+/// wide; a text that fills its column still gets one separating space, so
+/// adjacent columns never run together.
+void PrintTable(const ExperimentResult& result, const std::string& title,
+                std::ostream& os,
+                const std::function<std::string(const ApproachMetrics&)>& cell) {
+  auto column = [&os](const std::string& text) {
+    os << std::setw(22) << text << (text.size() >= 22 ? " " : "");
+  };
   os << "\n== " << title << " ==\n";
   os << std::left << std::setw(8) << "bucket" << std::setw(8) << "n";
-  for (const std::string& name : result.approach_names) {
-    os << std::setw(22) << name;
-  }
+  for (const std::string& name : result.approach_names) column(name);
   os << "\n";
+  for (const BucketMetrics& bm : result.buckets) {
+    os << std::setw(8) << bm.label << std::setw(8) << bm.num_queries;
+    for (const ApproachMetrics& m : bm.per_approach) column(cell(m));
+    os << "\n";
+  }
 }
 
 }  // namespace
 
 void PrintVqpTable(const ExperimentResult& result, const std::string& title,
                    std::ostream& os) {
-  PrintHeader(result, title + " | viable query % (VQP)", os);
-  for (const BucketMetrics& bm : result.buckets) {
-    os << std::left << std::setw(8) << bm.label << std::setw(8) << bm.num_queries;
-    for (const ApproachMetrics& m : bm.per_approach) {
-      os << std::setw(22) << FormatDouble(m.vqp, 1);
-    }
-    os << "\n";
-  }
+  PrintTable(result, title + " | viable query % (VQP)", os,
+             [](const ApproachMetrics& m) { return FormatDouble(m.vqp, 1); });
 }
 
 void PrintAqrtTable(const ExperimentResult& result, const std::string& title,
                     std::ostream& os) {
-  PrintHeader(result, title + " | avg response time s (plan+query)", os);
-  for (const BucketMetrics& bm : result.buckets) {
-    os << std::left << std::setw(8) << bm.label << std::setw(8) << bm.num_queries;
-    for (const ApproachMetrics& m : bm.per_approach) {
-      std::string cell = FormatDouble(m.aqrt_ms / 1000.0, 3) + " (" +
-                         FormatDouble(m.plan_ms / 1000.0, 3) + "+" +
-                         FormatDouble(m.exec_ms / 1000.0, 3) + ")";
-      os << std::setw(22) << cell;
-    }
-    os << "\n";
-  }
+  PrintTable(result, title + " | avg response time s (plan+query)", os,
+             [](const ApproachMetrics& m) {
+               return FormatDouble(m.aqrt_ms / 1000.0, 3) + " (" +
+                      FormatDouble(m.plan_ms / 1000.0, 3) + "+" +
+                      FormatDouble(m.exec_ms / 1000.0, 3) + ")";
+             });
 }
 
 void PrintQualityTable(const ExperimentResult& result, const std::string& title,
                        std::ostream& os) {
-  PrintHeader(result, title + " | avg Jaccard quality", os);
-  for (const BucketMetrics& bm : result.buckets) {
-    os << std::left << std::setw(8) << bm.label << std::setw(8) << bm.num_queries;
-    for (const ApproachMetrics& m : bm.per_approach) {
-      os << std::setw(22) << FormatDouble(m.quality, 3);
-    }
-    os << "\n";
-  }
+  PrintTable(result, title + " | avg Jaccard quality", os,
+             [](const ApproachMetrics& m) { return FormatDouble(m.quality, 3); });
 }
 
 void PrintBucketSizes(const BucketedWorkload& workload, const std::string& title,
@@ -129,6 +114,26 @@ void PrintBucketSizes(const BucketedWorkload& workload, const std::string& title
   if (!workload.out_of_range.empty()) {
     os << std::left << std::setw(8) << "other" << workload.out_of_range.size() << "\n";
   }
+}
+
+const char* ClaimVerdictName(ClaimVerdict verdict) {
+  static const char* const kNames[] = {"held", "known-failing", "UNEXPECTED FAILURE",
+                                       "UNEXPECTED PASS"};
+  return kNames[static_cast<int>(verdict)];
+}
+
+ClaimVerdict JudgeClaim(const Claim& claim, const ExperimentResult& result,
+                        bool known_failing) {
+  if (claim.holds(result)) {
+    return known_failing ? ClaimVerdict::kUnexpectedPass : ClaimVerdict::kHeld;
+  }
+  return known_failing ? ClaimVerdict::kKnownFailing : ClaimVerdict::kUnexpectedFailure;
+}
+
+bool AllVerdictsExpected(const std::vector<ClaimVerdict>& verdicts) {
+  return std::all_of(verdicts.begin(), verdicts.end(), [](ClaimVerdict v) {
+    return v == ClaimVerdict::kHeld || v == ClaimVerdict::kKnownFailing;
+  });
 }
 
 }  // namespace maliva

@@ -1,11 +1,11 @@
-// Experiment runner: evaluates rewriting approaches per difficulty bucket and
-// prints paper-style tables (VQP, AQRT with plan/query breakdown, quality).
+// Experiment runner: evaluates rewriting approaches per difficulty bucket,
+// prints paper-style tables (VQP, AQRT with plan/query breakdown, quality),
+// and decides the paper's claims over the results.
 
 #ifndef MALIVA_HARNESS_EXPERIMENT_H_
 #define MALIVA_HARNESS_EXPERIMENT_H_
 
 #include <functional>
-#include <initializer_list>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -27,10 +27,6 @@ struct Approach {
 /// service must outlive the returned closure. Aborts with a readable message
 /// when the strategy cannot be built — experiments want loud failures.
 Approach ApproachFor(MalivaService& service, const std::string& strategy);
-
-/// Builds several strategies at once, in order.
-std::vector<Approach> ApproachesFor(MalivaService& service,
-                                    std::initializer_list<const char*> strategies);
 
 /// Aggregated metrics of one approach over one difficulty bucket.
 struct ApproachMetrics {
@@ -68,6 +64,27 @@ void PrintQualityTable(const ExperimentResult& result, const std::string& title,
 /// Bucket sizes (Table 2 / Table 3 rows).
 void PrintBucketSizes(const BucketedWorkload& workload, const std::string& title,
                       std::ostream& os = std::cout);
+
+/// One of the paper's claims, decided over a figure's experiment result.
+struct Claim {
+  std::string name;
+  std::function<bool(const ExperimentResult&)> holds;
+};
+
+/// A claim's outcome against the known-failing list. Only kHeld and
+/// kKnownFailing are expected: a listed claim that passes is as much a
+/// finding as an unlisted one that fails, so the list can only shrink.
+enum class ClaimVerdict { kHeld, kKnownFailing, kUnexpectedFailure, kUnexpectedPass };
+
+const char* ClaimVerdictName(ClaimVerdict verdict);
+
+/// Decides `claim` over `result`, given whether it is on the known-failing
+/// list.
+ClaimVerdict JudgeClaim(const Claim& claim, const ExperimentResult& result,
+                        bool known_failing);
+
+/// Overall status: true when every verdict is kHeld or kKnownFailing.
+bool AllVerdictsExpected(const std::vector<ClaimVerdict>& verdicts);
 
 }  // namespace maliva
 

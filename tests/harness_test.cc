@@ -1,5 +1,6 @@
-// Harness tests: experiment runner aggregation, table rendering, and the
-// service hooks the paper benches drive (ApproachFor, MakeEnv, TrainAgentOn).
+// Harness tests: experiment runner aggregation, table rendering, claim
+// verdicts, and the service hooks bench_paper_claims drives (ApproachFor,
+// MakeEnv, TrainAgentOn).
 
 #include <gtest/gtest.h>
 
@@ -68,8 +69,12 @@ TEST_F(HarnessTest, TablePrintersEmitAllBucketsAndApproaches) {
   BucketedWorkload bw = BucketQueries(*scenario_->oracle, scenario_->evaluation,
                                       scenario_->options, 500.0,
                                       BucketScheme::Exact0To4());
-  ExperimentResult r =
-      RunExperiment({ConstantApproach("alpha", 50.0, true)}, bw);
+  // A name exactly as wide as a column (22 characters) must still be
+  // separated from the next column's name.
+  const std::string wide = "2-stage MDP (Accu-QTE)";
+  ASSERT_EQ(wide.size(), 22u);
+  ExperimentResult r = RunExperiment(
+      {ConstantApproach(wide, 50.0, true), ConstantApproach("alpha", 50.0, true)}, bw);
   std::ostringstream vqp, aqrt, quality, sizes;
   PrintVqpTable(r, "t", vqp);
   PrintAqrtTable(r, "t", aqrt);
@@ -78,10 +83,53 @@ TEST_F(HarnessTest, TablePrintersEmitAllBucketsAndApproaches) {
   for (const std::string& s :
        {vqp.str(), aqrt.str(), quality.str()}) {
     EXPECT_NE(s.find("alpha"), std::string::npos);
+    EXPECT_NE(s.find(wide + " alpha"), std::string::npos) << s;
     EXPECT_NE(s.find(">=5"), std::string::npos);
     EXPECT_NE(s.find("bucket"), std::string::npos);
   }
   EXPECT_NE(sizes.str().find(">=5"), std::string::npos);
+}
+
+TEST_F(HarnessTest, ClaimVerdictsCoverAllFourOutcomes) {
+  BucketedWorkload bw = BucketQueries(*scenario_->oracle, scenario_->evaluation,
+                                      scenario_->options, 500.0,
+                                      BucketScheme::Exact0To4());
+  ExperimentResult r = RunExperiment({ConstantApproach("fast", 100.0, true),
+                                      ConstantApproach("slow", 900.0, false)},
+                                     bw);
+  // Column `winner` beats column `loser` on VQP in every non-empty bucket.
+  auto beats = [](size_t winner, size_t loser) {
+    return [winner, loser](const ExperimentResult& res) {
+      for (const BucketMetrics& bm : res.buckets) {
+        if (bm.num_queries > 0 &&
+            bm.per_approach[winner].vqp <= bm.per_approach[loser].vqp) {
+          return false;
+        }
+      }
+      return true;
+    };
+  };
+  Claim holds{"fast_beats_slow", beats(0, 1)};
+  Claim fails{"slow_beats_fast", beats(1, 0)};
+
+  EXPECT_EQ(JudgeClaim(holds, r, /*known_failing=*/false), ClaimVerdict::kHeld);
+  EXPECT_EQ(JudgeClaim(fails, r, /*known_failing=*/true), ClaimVerdict::kKnownFailing);
+  EXPECT_EQ(JudgeClaim(fails, r, /*known_failing=*/false),
+            ClaimVerdict::kUnexpectedFailure);
+  EXPECT_EQ(JudgeClaim(holds, r, /*known_failing=*/true), ClaimVerdict::kUnexpectedPass);
+
+  EXPECT_TRUE(AllVerdictsExpected({}));
+  EXPECT_TRUE(
+      AllVerdictsExpected({ClaimVerdict::kHeld, ClaimVerdict::kKnownFailing}));
+  EXPECT_FALSE(AllVerdictsExpected(
+      {ClaimVerdict::kHeld, ClaimVerdict::kUnexpectedFailure}));
+  EXPECT_FALSE(AllVerdictsExpected(
+      {ClaimVerdict::kKnownFailing, ClaimVerdict::kUnexpectedPass}));
+  EXPECT_STREQ(ClaimVerdictName(ClaimVerdict::kHeld), "held");
+  EXPECT_STREQ(ClaimVerdictName(ClaimVerdict::kKnownFailing), "known-failing");
+  EXPECT_STREQ(ClaimVerdictName(ClaimVerdict::kUnexpectedFailure),
+               "UNEXPECTED FAILURE");
+  EXPECT_STREQ(ClaimVerdictName(ClaimVerdict::kUnexpectedPass), "UNEXPECTED PASS");
 }
 
 TEST_F(HarnessTest, SetupBaselineIsCached) {

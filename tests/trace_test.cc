@@ -379,7 +379,7 @@ TEST(ReplayArrivalTest, NoWallClockReads) {
   for (int i = 0; i < 50; ++i) first.push_back(a.NextMs());
   // Burn measurable wall time without any timer dependency in the assert.
   volatile double sink = 0.0;
-  for (int i = 0; i < 2000000; ++i) sink += std::sqrt(static_cast<double>(i));
+  for (int i = 0; i < 2000000; ++i) sink = sink + std::sqrt(static_cast<double>(i));
   (void)sink;
   ArrivalGenerator b(100.0, 77);
   for (int i = 0; i < 50; ++i) EXPECT_EQ(b.NextMs(), first[i]);
