@@ -374,6 +374,10 @@ class MalivaService {
   ContinualTrainer* online_trainer() const { return state_.continual_trainer.get(); }
   ModelRegistry* model_registry() const { return state_.model_registry.get(); }
 
+  /// The knowledge plane's shared selectivity store (null while
+  /// ServiceConfig::cross_request_cache is off). Internally synchronized.
+  const SharedSelectivityStore* shared_store() const { return state_.shared_store.get(); }
+
   /// The service's metric registry (DESIGN.md "Observability plane").
   /// serve_metrics() hands out the pre-resolved handle struct so external
   /// recorders (the fleet's gate path) never touch the registry map either.

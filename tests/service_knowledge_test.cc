@@ -1,11 +1,14 @@
 // Cross-request knowledge plane tests at the service layer: warm-store
 // requests collect fewer selectivities than cold ones, off-mode behaviour is
 // unchanged and reports no shared traffic, epoch invalidation via engine
-// catalog changes, ServiceConfig::Validate(), and the Stats() snapshot.
+// catalog changes, ServiceConfig::Validate(), the Stats() snapshot, and that
+// accurate-QTE requests publish exact selectivities.
 
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <optional>
+#include <vector>
 
 #include "query/signature.h"
 #include "service/service.h"
@@ -259,6 +262,50 @@ TEST_F(ServiceKnowledgePlaneTest, BatchServingWarmsTheStoreAcrossRequests) {
   EXPECT_EQ(stats.requests, 64u);
   EXPECT_GT(stats.shared_hits, stats.selectivities_collected);
   EXPECT_GT(stats.SharedHitRatio(), 0.5);
+}
+
+TEST_F(ServiceKnowledgePlaneTest, AccurateQtePublishesExactSelectivities) {
+  MalivaService service(scenario_, StoreConfig());
+  const SharedSelectivityStore* store = service.shared_store();
+  ASSERT_NE(store, nullptr);
+  const Engine& engine = *scenario_->engine;
+  const uint64_t epoch = engine.catalog_version();
+
+  // Every entry a request adds to the store comes from that request's own
+  // caches, so each slot key absent before the serve and present after it
+  // must hold the exact selectivity of the served query's predicate.
+  size_t checked = 0;
+  size_t nonzero = 0;
+  for (size_t i = 0; i < 24; ++i) {
+    const Query& query = *scenario_->evaluation[i];
+    CanonicalQuery canonical = Canonicalize(query);
+    std::vector<bool> was_resident;
+    for (uint64_t key : canonical.slot_keys) {
+      was_resident.push_back(store->Lookup(key, epoch).has_value());
+    }
+
+    RewriteRequest req;
+    req.query = &query;
+    req.strategy = "mdp/accurate";
+    Result<RewriteResponse> resp = service.Serve(req);
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+
+    size_t m = query.predicates.size();
+    for (size_t slot = 0; slot < canonical.slot_keys.size(); ++slot) {
+      std::optional<double> published = store->Lookup(canonical.slot_keys[slot], epoch);
+      if (was_resident[slot] || !published.has_value()) continue;
+      Result<double> truth =
+          slot < m ? engine.TrueSelectivity(query.table, query.predicates[slot])
+                   : engine.TrueSelectivity(query.join->right_table,
+                                            query.join->right_predicates[slot - m]);
+      ASSERT_TRUE(truth.ok()) << truth.status().ToString();
+      EXPECT_EQ(*published, truth.value()) << "query " << i << " slot " << slot;
+      ++checked;
+      if (*published != 0.0) ++nonzero;
+    }
+  }
+  EXPECT_GT(checked, 0u);
+  EXPECT_GT(nonzero, 0u);
 }
 
 }  // namespace
