@@ -85,8 +85,10 @@ class RewriteSession {
   }
 
   /// Episode caches allocated so far (the service walks these after serving
-  /// to publish newly collected selectivities back to the shared store).
+  /// to publish newly collected selectivities back to the shared store;
+  /// reading a pending probe's value runs it, hence the mutable overload).
   const std::deque<SelectivityCache>& caches() const { return caches_; }
+  std::deque<SelectivityCache>& caches() { return caches_; }
 
   /// Slots pre-seeded from the shared store, summed across caches — the
   /// request's "shared hits". Counted per episode cache deliberately: each

@@ -4,16 +4,27 @@
 // QTE collects it for one rewritten query it is free for every later RQ
 // sharing the predicate. This cache is what makes the estimation costs C_i in
 // the MDP state drop as the agent explores (paper Fig 7).
+//
+// A slot is empty, holds a value, or holds a pending exact probe: collected
+// and billed, with Engine::TrueSelectivity deferred to the first Get()
+// (DESIGN.md "QTE cost accounting"). A pending probe borrows the engine and
+// the query's table name and predicate, so a cache must not outlive its
+// query. A cache serves one request or training episode on one thread:
+// Get() may write the slot it reads. Copying a cache copies its pending
+// probes.
 
 #ifndef MALIVA_QTE_SELECTIVITY_CACHE_H_
 #define MALIVA_QTE_SELECTIVITY_CACHE_H_
 
 #include <cassert>
-#include <optional>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 namespace maliva {
 
+class Engine;         // engine/engine.h
+struct Predicate;     // query/predicate.h
 class QueryProfiler;  // util/query_profiler.h
 
 /// Slot-indexed selectivity store: slots [0, m) are the base predicates,
@@ -24,24 +35,46 @@ class SelectivityCache {
 
   size_t num_slots() const { return slots_.size(); }
 
+  /// Whether `slot` is collected: it holds a value or a pending probe.
   bool Has(size_t slot) const {
     assert(slot < slots_.size());
-    return slots_[slot].has_value();
+    return slots_[slot].state != Slot::kEmpty;
   }
 
-  double Get(size_t slot) const {
+  /// The selectivity of a collected slot. A pending probe runs here, on the
+  /// first read, and its value replaces it.
+  double Get(size_t slot) {
     assert(Has(slot));
-    return *slots_[slot];
+    Slot& s = slots_[slot];
+    if (s.state == Slot::kPending) Materialize(s);
+    return s.value;
   }
 
+  /// Stores `selectivity` in `slot`, replacing a value or a pending probe.
   void Set(size_t slot, double selectivity) {
     assert(slot < slots_.size());
-    if (!slots_[slot].has_value()) ++collected_;
-    slots_[slot] = selectivity;
+    Slot& s = slots_[slot];
+    if (s.state == Slot::kEmpty) ++collected_;
+    s.state = Slot::kValue;
+    s.value = selectivity;
   }
 
-  /// Slots holding a value. Maintained incrementally in Set() — this is read
-  /// per response for telemetry, so it must not rescan the slots.
+  /// Collects `slot` as a pending exact probe of `pred` on `table`: Get()
+  /// later returns Engine::TrueSelectivity (0 when it fails). All three are
+  /// borrowed until the probe runs.
+  void SetPendingProbe(size_t slot, const Engine& engine, const std::string& table,
+                       const Predicate& pred) {
+    assert(slot < slots_.size());
+    Slot& s = slots_[slot];
+    if (s.state == Slot::kEmpty) ++collected_;
+    s.state = Slot::kPending;
+    s.engine = &engine;
+    s.table = &table;
+    s.pred = &pred;
+  }
+
+  /// Collected slots (values and pending probes). Maintained incrementally —
+  /// this is read per response for telemetry, so it must not rescan.
   size_t NumCollected() const { return collected_; }
 
   // Tier accounting (DESIGN.md "Selectivity tiers"): how the collected slots
@@ -61,7 +94,20 @@ class SelectivityCache {
   QueryProfiler* profiler() const { return profiler_; }
 
  private:
-  std::vector<std::optional<double>> slots_;
+  struct Slot {
+    enum State : uint8_t { kEmpty, kValue, kPending };
+    State state = kEmpty;
+    double value = 0.0;
+    // The pending probe's target; meaningful while state == kPending.
+    const Engine* engine = nullptr;
+    const std::string* table = nullptr;
+    const Predicate* pred = nullptr;
+  };
+
+  /// Runs `slot`'s pending probe and stores its value.
+  static void Materialize(Slot& slot);
+
+  std::vector<Slot> slots_;
   size_t collected_ = 0;
   size_t histogram_hits_ = 0;
   size_t probes_ = 0;

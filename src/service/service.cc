@@ -720,7 +720,7 @@ Result<RewriteResponse> MalivaService::ServeImpl(const RewriteRequest& request) 
   if (store != nullptr) {
     ProfilerSimpleGuard span(prof, QueryProfiler::kPublish);
     const std::vector<uint64_t>& slot_keys = ctx.canonical.slot_keys;
-    for (const SelectivityCache& cache : session.caches()) {
+    for (SelectivityCache& cache : session.caches()) {
       if (cache.num_slots() != slot_keys.size()) continue;
       for (size_t slot = 0; slot < cache.num_slots(); ++slot) {
         if (!cache.Has(slot)) continue;

@@ -159,6 +159,51 @@ TEST(SelectivityCacheTest, Basics) {
   EXPECT_DOUBLE_EQ(cache.Get(0), 0.5);
 }
 
+TEST_F(QteTest, PendingProbeReadsAsCollectedAndMaterializesExactly) {
+  SelectivityCache cache(ctx_.NumSlots());
+  for (size_t slot = 0; slot < 3; ++slot) {
+    cache.SetPendingProbe(slot, *engine_, query_.table, query_.predicates[slot]);
+  }
+  EXPECT_TRUE(cache.Has(0));
+  EXPECT_EQ(cache.NumCollected(), 3u);
+
+  // A copy (QueryEnv's inherited cache) carries the pending probes with it.
+  SelectivityCache copy = cache;
+  for (size_t slot = 0; slot < 3; ++slot) {
+    double truth = engine_->TrueSelectivity(query_.table, query_.predicates[slot]).value();
+    EXPECT_EQ(cache.Get(slot), truth);
+    EXPECT_EQ(cache.Get(slot), truth);  // the second read is the stored value
+    EXPECT_EQ(copy.Get(slot), truth);
+  }
+
+  // Set() over a pending probe replaces it without counting a new slot.
+  SelectivityCache replaced(ctx_.NumSlots());
+  replaced.SetPendingProbe(1, *engine_, query_.table, query_.predicates[1]);
+  replaced.Set(1, 0.125);
+  EXPECT_EQ(replaced.Get(1), 0.125);
+  EXPECT_EQ(replaced.NumCollected(), 1u);
+}
+
+TEST_F(QteTest, SamplingQteReadsAccurateQtePendingProbesExactly) {
+  // The accurate QTE leaves its slots pending; a sampling estimate on the
+  // same cache must see the exact values, as if they had been probed eagerly.
+  AccurateQte accurate;
+  SamplingQte sampling;
+  SelectivityCache lazy(ctx_.NumSlots());
+  accurate.Estimate(ctx_, 0b111, &lazy);
+  EXPECT_EQ(lazy.NumCollected(), 3u);
+  EXPECT_EQ(lazy.probes(), 3u);
+
+  SelectivityCache eager(ctx_.NumSlots());
+  for (size_t slot = 0; slot < 3; ++slot) {
+    eager.Set(slot, engine_->TrueSelectivity(query_.table, query_.predicates[slot]).value());
+  }
+  for (size_t i = 0; i < options_.size(); ++i) {
+    EXPECT_EQ(sampling.Estimate(ctx_, i, &lazy).est_ms,
+              sampling.Estimate(ctx_, i, &eager).est_ms);
+  }
+}
+
 TEST(PlanTimeOracleTest, CachesExecutions) {
   auto engine = SmallEngine(2000, 5);
   PlanTimeOracle oracle(engine.get());
