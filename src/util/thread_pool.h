@@ -3,18 +3,20 @@
 // MalivaService::ServeBatch fans requests out over a pool of workers; each
 // request is independent (per-request RewriteSession, shared-immutable
 // ServingState), so the pool needs no futures or task graphs — just Submit
-// and a blocking ParallelFor. The training prefill runs on the one
+// and a blocking ParallelFor that the calling thread helps drain. The training prefill runs on the one
 // process-wide Shared() pool. Header-only; links against std::thread
 // (Threads::Threads in CMake).
 
 #ifndef MALIVA_UTIL_THREAD_POOL_H_
 #define MALIVA_UTIL_THREAD_POOL_H_
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -96,35 +98,43 @@ class ThreadPool {
     return queue_.size();
   }
 
-  /// Runs fn(0..n-1), spreading indices over the workers, and blocks until
-  /// all calls return. Indices are claimed from a shared atomic counter, so
-  /// uneven per-index costs balance automatically. Completion is tracked
-  /// per call, not via the pool-global Wait(): concurrent ParallelFor calls
-  /// sharing one pool (e.g. two fleet batches) only wait for their own
-  /// lanes, never for each other's tasks.
+  /// Runs fn(0..n-1), spreading indices over the workers and the calling
+  /// thread, and blocks until all n calls return. Indices are claimed from a
+  /// shared atomic counter, so uneven per-index costs balance automatically.
+  /// The caller claims indices too, so a call never queues behind other
+  /// callers' tasks: with every worker busy, the caller runs all n indices
+  /// itself, and a lane that starts after that finds none left and never
+  /// touches fn. Completion is tracked per call, not via the pool-global
+  /// Wait(): concurrent ParallelFor calls sharing one pool (e.g. two fleet
+  /// batches) only wait for their own indices, never for each other's tasks.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
     if (n == 0) return;
     struct CallState {
       std::atomic<size_t> next{0};
       std::mutex mutex;
       std::condition_variable done;
-      size_t active_lanes = 0;
+      size_t finished = 0;  // indices whose fn call has returned
     };
     auto state = std::make_shared<CallState>();
-    size_t lanes = std::min(n, num_threads());
-    state->active_lanes = lanes;
-    for (size_t lane = 0; lane < lanes; ++lane) {
-      // fn by reference is safe: this call outlives its tasks by design.
-      Submit([state, n, &fn] {
-        for (size_t i = state->next.fetch_add(1); i < n; i = state->next.fetch_add(1)) {
-          fn(i);
-        }
-        std::unique_lock<std::mutex> lock(state->mutex);
-        if (--state->active_lanes == 0) state->done.notify_all();
-      });
-    }
+    // fn by reference is safe: it is only called for an index below n, and
+    // this call returns only after all n of those calls have.
+    auto drain = [state, n, &fn] {
+      size_t ran = 0;
+      for (size_t i = state->next.fetch_add(1); i < n; i = state->next.fetch_add(1)) {
+        fn(i);
+        ++ran;
+      }
+      if (ran == 0) return;
+      std::unique_lock<std::mutex> lock(state->mutex);
+      state->finished += ran;
+      if (state->finished == n) state->done.notify_all();
+    };
+    // The caller is one lane, so at most n - 1 more can find work.
+    size_t lanes = std::min(n - 1, num_threads());
+    for (size_t lane = 0; lane < lanes; ++lane) Submit(drain);
+    drain();
     std::unique_lock<std::mutex> lock(state->mutex);
-    state->done.wait(lock, [&state] { return state->active_lanes == 0; });
+    state->done.wait(lock, [&state, n] { return state->finished == n; });
   }
 
  private:

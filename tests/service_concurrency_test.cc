@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
+#include <latch>
 #include <limits>
 #include <span>
 #include <string>
@@ -216,6 +219,27 @@ TEST_F(ServiceConcurrencyTest, ThreadPoolRunsEveryIndexExactlyOnce) {
   for (size_t i = 0; i < hits.size(); ++i) {
     ASSERT_EQ(hits[i].load(), 1) << "index " << i;
   }
+}
+
+TEST_F(ServiceConcurrencyTest, ThreadPoolParallelForRunsWhileEveryWorkerIsBusy) {
+  // Declared before the pool, so the pool joins its workers before these go.
+  std::latch release(1);
+  std::atomic<size_t> ran{0};
+  ThreadPool pool(2);
+  for (size_t i = 0; i < pool.num_threads(); ++i) {
+    pool.Submit([&release] { release.wait(); });
+  }
+  // Another caller's tasks hold both workers; the call must not queue
+  // behind them.
+  std::future<void> call = std::async(std::launch::async, [&pool, &ran] {
+    pool.ParallelFor(64, [&ran](size_t) { ran.fetch_add(1); });
+  });
+  bool finished = call.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  release.count_down();
+  call.wait();
+  pool.Wait();
+  EXPECT_TRUE(finished) << "ParallelFor waited for the blocked workers";
+  EXPECT_EQ(ran.load(), 64u);
 }
 
 }  // namespace
