@@ -34,7 +34,7 @@ class BucketScheme {
   static BucketScheme Ranges16();
   /// 0,1-4,5-8,9-12,13-16,>=17 (32 rewrite options, Table 3 bottom).
   static BucketScheme Ranges32();
-  /// 1-2,3-4,5-6,7-8,9-10 (join experiment, Fig 18).
+  /// 0,1-2,3-4,5-6,7-8,9-10,>=11 (join experiment, Fig 18).
   static BucketScheme JoinRanges();
 
   size_t num_buckets() const { return ranges_.size(); }
