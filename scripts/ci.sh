@@ -25,7 +25,9 @@
 #                          # build-bench/): smoke runs of every maliva_bench
 #                          # workload twice at seed 1 must give identical
 #                          # decision digests and exact metrics, and a seed-2
-#                          # run must give different digests (~1 min)
+#                          # run must give different digests (~1 min), and
+#                          # the seed-1 digests of the closed loops must
+#                          # equal the ones pinned in scripts/bench_digests.txt
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -92,6 +94,28 @@ check_docs() {
     exit 1
   fi
   echo "docs check OK"
+}
+
+# Pinned decisions: each "<workload> <digest>" line of scripts/bench_digests.txt
+# must match the decision_digest of <workload>.json in the given maliva_bench
+# output directory.
+check_bench_digests() {
+  local dir="$1" fail=0 workload want got
+  echo "== benchmark digests: ${dir} against scripts/bench_digests.txt =="
+  while read -r workload want; do
+    [[ -z "$workload" || "$workload" == \#* ]] && continue
+    got="$(sed -nE 's/.*"decision_digest": "([0-9a-f]+)".*/\1/p' "${dir}/${workload}.json")"
+    if [[ "$got" == "$want" ]]; then
+      echo "${workload}: ${got} as pinned"
+    else
+      echo "DIGEST MISMATCH ${workload}: pinned ${want}, got ${got:-none}"
+      fail=1
+    fi
+  done < scripts/bench_digests.txt
+  if [[ "$fail" != 0 ]]; then
+    echo "benchmark digests FAILED" >&2
+    exit 1
+  fi
 }
 
 run_tsan=0
@@ -263,4 +287,5 @@ if [[ "$run_bench" == 1 ]]; then
   # of the seed alone, so a change that keeps decisions must keep them.
   echo "== benchmark self-check: benchmark/run.sh --selfcheck =="
   benchmark/run.sh --selfcheck
+  check_bench_digests build-bench/selfcheck/a
 fi
