@@ -702,6 +702,8 @@ Result<RewriteResponse> MalivaService::ServeImpl(const RewriteRequest& request) 
   // session's caches, everything else collected there was paid for by this
   // request and is published back for the fleet. Publish is first-writer-
   // wins, so re-publishing seeded slots is a no-op and does not count.
+  // Reading a slot runs the accurate QTE's pending exact probe, so that
+  // probe's host time lands in the publish span.
   size_t total_collected = 0;
   size_t histogram_hits = 0;
   size_t probes = 0;

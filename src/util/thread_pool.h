@@ -3,9 +3,9 @@
 // MalivaService::ServeBatch fans requests out over a pool of workers; each
 // request is independent (per-request RewriteSession, shared-immutable
 // ServingState), so the pool needs no futures or task graphs — just Submit
-// and a blocking ParallelFor that the calling thread helps drain. The training prefill runs on the one
-// process-wide Shared() pool. Header-only; links against std::thread
-// (Threads::Threads in CMake).
+// and a blocking ParallelFor that the calling thread helps drain. The
+// training prefill runs on the one process-wide Shared() pool. Header-only;
+// links against std::thread (Threads::Threads in CMake).
 
 #ifndef MALIVA_UTIL_THREAD_POOL_H_
 #define MALIVA_UTIL_THREAD_POOL_H_
