@@ -151,6 +151,46 @@ TEST(RngTest, SampleWithoutReplacementAll) {
   EXPECT_EQ(uniq.size(), 10u);
 }
 
+// The O(n) partial Fisher-Yates the sampler is defined by: a dense index
+// array, one UniformInt(i, n - 1) draw and one swap per output.
+std::vector<size_t> DenseSampleWithoutReplacement(Rng* rng, size_t n, size_t k) {
+  std::vector<size_t> idx(n);
+  for (size_t i = 0; i < n; ++i) idx[i] = i;
+  for (size_t i = 0; i < k; ++i) {
+    size_t j = static_cast<size_t>(
+        rng->UniformInt(static_cast<int64_t>(i), static_cast<int64_t>(n - 1)));
+    std::swap(idx[i], idx[j]);
+  }
+  idx.resize(k);
+  return idx;
+}
+
+TEST(RngTest, SampleWithoutReplacementMatchesDenseReference) {
+  // Same output and the same draws: the generator states agree afterwards.
+  auto check = [](uint64_t seed, size_t n, size_t k) {
+    Rng got(seed), want(seed);
+    EXPECT_EQ(got.SampleWithoutReplacement(n, k),
+              DenseSampleWithoutReplacement(&want, n, k))
+        << "n=" << n << " k=" << k;
+    EXPECT_EQ(got.UniformInt(0, 1 << 30), want.UniformInt(0, 1 << 30))
+        << "n=" << n << " k=" << k;
+  };
+  check(1, 0, 0);
+  check(2, 1, 0);
+  check(3, 1, 1);
+  check(4, 10, 0);
+  check(5, 10, 10);
+  check(6, 8272, 64);
+  check(7, 50000, 64);
+  check(8, 64, 64);
+  Rng sizes(29);
+  for (int trial = 0; trial < 200; ++trial) {
+    size_t n = static_cast<size_t>(sizes.UniformInt(1, 400));
+    size_t k = static_cast<size_t>(sizes.UniformInt(0, static_cast<int64_t>(n)));
+    check(100 + static_cast<uint64_t>(trial), n, k);
+  }
+}
+
 TEST(RngTest, ShufflePreservesElements) {
   Rng rng(19);
   std::vector<int> v{1, 2, 3, 4, 5, 6, 7};
