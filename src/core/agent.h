@@ -47,11 +47,25 @@ class QAgent {
   void SyncTarget();
 
   Mlp* online() { return online_.get(); }
+  const Mlp& target() const { return *target_; }
+
+  /// Buffers Trainer::MinibatchUpdate reuses from one update to the next; a
+  /// Clone starts with its own, empty.
+  struct UpdateScratch {
+    std::vector<double> states;       ///< batch rows (ml/mlp.h), row s = sample s
+    std::vector<double> next_states;  ///< one row per non-terminal successor
+    std::vector<uint32_t> live;       ///< batch index of each such successor
+    std::vector<int> actions;
+    std::vector<double> targets;
+    MlpWorkspace target_ws;
+  };
+  UpdateScratch* update_scratch() { return &scratch_; }
 
  private:
   size_t num_actions_;
   std::unique_ptr<Mlp> online_;
   std::unique_ptr<Mlp> target_;
+  UpdateScratch scratch_;
 };
 
 }  // namespace maliva

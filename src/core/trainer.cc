@@ -44,23 +44,53 @@ void Trainer::MinibatchUpdate(QAgent* agent,
                               const std::vector<const Experience*>& batch,
                               double gamma, double learning_rate) {
   if (batch.empty()) return;
-  for (const Experience* e : batch) {
-    double target = e->reward;
-    if (!e->terminal) {
-      std::vector<double> tq = agent->TargetQValues(e->next_state);
-      double best = -std::numeric_limits<double>::infinity();
-      bool any = false;
-      for (size_t i = 0; i < tq.size(); ++i) {
-        if (e->next_valid[i]) {
-          best = std::max(best, tq[i]);
-          any = true;
-        }
-      }
-      if (any) target += gamma * best;
-    }
-    agent->online()->AccumulateGradient(e->state, e->action, target);
+  Mlp* online = agent->online();
+  const size_t n = batch.size();
+  const size_t dim = online->input_dim();
+  const size_t num_actions = online->output_dim();
+  const size_t stride = BatchStride(dim);
+
+  // Gather the batch into rows: every state, and the successors of the
+  // non-terminal transitions (the only ones with a Bellman bootstrap).
+  QAgent::UpdateScratch& u = *agent->update_scratch();
+  u.states.resize(n * stride);
+  u.next_states.resize(n * stride);
+  u.actions.resize(n);
+  u.targets.resize(n);
+  u.live.clear();
+  for (size_t s = 0; s < n; ++s) {
+    const Experience& e = *batch[s];
+    assert(e.state.size() == dim);
+    std::copy(e.state.begin(), e.state.end(), &u.states[s * stride]);
+    u.actions[s] = e.action;
+    u.targets[s] = e.reward;
+    if (e.terminal) continue;
+    assert(e.next_state.size() == dim && e.next_valid.size() == num_actions);
+    std::copy(e.next_state.begin(), e.next_state.end(),
+              &u.next_states[u.live.size() * stride]);
+    u.live.push_back(static_cast<uint32_t>(s));
   }
-  agent->online()->Step(learning_rate, batch.size());
+
+  // Bellman targets: one target-network pass over the live successors, each
+  // maxed over its still-valid actions.
+  const double* tq = agent->target().ForwardBatch(u.next_states.data(), u.live.size(),
+                                                  &u.target_ws);
+  for (size_t j = 0; j < u.live.size(); ++j) {
+    const Experience& e = *batch[u.live[j]];
+    const double* row = tq + j * BatchStride(num_actions);
+    double best = -std::numeric_limits<double>::infinity();
+    bool any = false;
+    for (size_t i = 0; i < num_actions; ++i) {
+      if (e.next_valid[i]) {
+        best = std::max(best, row[i]);
+        any = true;
+      }
+    }
+    if (any) u.targets[u.live[j]] += gamma * best;
+  }
+
+  online->AccumulateBatch(u.states.data(), n, u.actions.data(), u.targets.data(), nullptr);
+  online->Step(learning_rate, n);
 }
 
 std::unique_ptr<QAgent> Trainer::Train(const std::vector<const Query*>& workload) {

@@ -50,7 +50,10 @@ class Trainer {
   /// offline training and the online plane's fine-tune rounds
   /// (continual_trainer.cc), so the two can never silently diverge. Target
   /// syncing stays with the caller (cadences differ). No-op on an empty
-  /// batch.
+  /// batch. The batch runs through the networks as matrices (one target pass
+  /// over the non-terminal successors, one online forward and backward over
+  /// every sample) in buffers the agent keeps, bit-identical to the
+  /// per-sample loop of TargetQValues and AccumulateGradient calls.
   static void MinibatchUpdate(QAgent* agent,
                               const std::vector<const Experience*>& batch,
                               double gamma, double learning_rate);

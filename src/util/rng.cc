@@ -1,23 +1,31 @@
 #include "util/rng.h"
 
 #include <cmath>
-#include <numeric>
+#include <unordered_map>
 
 namespace maliva {
 
 std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {
   assert(k <= n);
-  // Floyd's algorithm would avoid the O(n) init, but n is small in all of our
-  // call sites relative to the work done per sampled element.
-  std::vector<size_t> idx(n);
-  std::iota(idx.begin(), idx.end(), 0);
+  // Partial Fisher-Yates over a virtual identity array [0, n): draw i swaps
+  // slots i and UniformInt(i, n - 1). Only the slots a swap has moved are
+  // stored, so a call costs O(k) whatever n is (ReplayBuffer::Sample draws
+  // 64 of up to 50,000 per update), with the dense version's draws and
+  // output. Slot i is final once drawn: later draws only reach slots > i.
+  std::vector<size_t> out(k);
+  std::unordered_map<size_t, size_t> moved;
+  moved.reserve(k);
+  auto slot = [&moved](size_t i) {
+    auto it = moved.find(i);
+    return it == moved.end() ? i : it->second;
+  };
   for (size_t i = 0; i < k; ++i) {
     size_t j = static_cast<size_t>(UniformInt(static_cast<int64_t>(i),
                                               static_cast<int64_t>(n - 1)));
-    std::swap(idx[i], idx[j]);
+    out[i] = slot(j);
+    moved[j] = slot(i);
   }
-  idx.resize(k);
-  return idx;
+  return out;
 }
 
 ZipfTable::ZipfTable(int64_t n, double theta) {

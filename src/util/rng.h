@@ -54,7 +54,8 @@ class Rng {
     std::shuffle(v->begin(), v->end(), gen_);
   }
 
-  /// k distinct indices sampled uniformly from [0, n). Requires k <= n.
+  /// k distinct indices sampled uniformly from [0, n), in O(k) time and
+  /// memory. Requires k <= n.
   std::vector<size_t> SampleWithoutReplacement(size_t n, size_t k);
 
  private:
