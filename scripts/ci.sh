@@ -4,7 +4,10 @@
 # Every library source under src/ is held to -Wall -Wextra with warnings
 # treated as errors; tests, benches and examples build with default flags.
 #
-#   scripts/ci.sh          # docs check + regular build + full test suite
+#   scripts/ci.sh          # docs check + regular build + full test suite,
+#                          # then the library alone built Release (-O3,
+#                          # the benchmark's flags) with -Werror in
+#                          # build-release/: vector code can warn only there
 #   scripts/ci.sh --docs   # docs check only (no build): README/docs/DESIGN
 #                          # relative links resolve, every bench_*.cc has
 #                          # a docs/experiments.md entry, and every README
@@ -143,6 +146,12 @@ fi
 cmake -B build -S . -DMALIVA_WERROR=ON
 cmake --build build -j"$(nproc)"
 ctest --test-dir build --output-on-failure -j"$(nproc)"
+
+# Release leg: the -O3 library benchmark/ links, held to -Werror too.
+echo "== Release library build: -O3 -Werror (build-release/) =="
+cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release -DMALIVA_WERROR=ON \
+  -DMALIVA_BUILD_TESTS=OFF -DMALIVA_BUILD_BENCHES=OFF -DMALIVA_BUILD_EXAMPLES=OFF
+cmake --build build-release -j"$(nproc)" --target maliva
 
 # One bench smoke leg: run `./build/<bench> --smoke --out build/<json>` (the
 # binary's own acceptance checks gate the exit code), then validate the

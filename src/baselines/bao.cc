@@ -58,14 +58,24 @@ void BaoQte::Fit(const std::vector<Sample>& samples, size_t epochs, size_t batch
   std::vector<size_t> order(samples.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
 
+  // Each minibatch runs through the network as batch rows (ml/mlp.h), with
+  // the bits of one AccumulateGradient per sample.
+  const size_t stride = BatchStride(kFeatureDim);
+  std::vector<double> rows(std::min(batch_size, samples.size()) * stride);
+  std::vector<double> targets(rows.size() / stride);
+  const std::vector<int> actions(targets.size(), 0);
   for (size_t epoch = 0; epoch < epochs; ++epoch) {
     rng.Shuffle(&order);
     for (size_t start = 0; start < order.size(); start += batch_size) {
       size_t end = std::min(order.size(), start + batch_size);
       for (size_t i = start; i < end; ++i) {
         const Sample& s = samples[order[i]];
-        net_->AccumulateGradient(s.features, 0, std::log1p(std::max(0.0, s.true_ms)));
+        assert(s.features.size() == kFeatureDim);
+        std::copy(s.features.begin(), s.features.end(), &rows[(i - start) * stride]);
+        targets[i - start] = std::log1p(std::max(0.0, s.true_ms));
       }
+      net_->AccumulateBatch(rows.data(), end - start, actions.data(), targets.data(),
+                            nullptr);
       net_->Step(lr, end - start);
     }
   }

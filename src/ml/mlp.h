@@ -124,8 +124,9 @@ class Mlp {
   double AccumulateGradient(const std::vector<double>& x, int action, double target);
 
   /// AccumulateGradient for `n` samples at once: sample s is batch row s of
-  /// `x` (stride BatchStride(input_dim)), `actions[s]` and `targets[s]`. Gradients accumulate in
-  /// ascending sample order, so the bits equal n AccumulateGradient calls.
+  /// `x` (stride BatchStride(input_dim)), `actions[s]` and `targets[s]`.
+  /// Gradients accumulate in ascending sample order, so the bits equal n
+  /// AccumulateGradient calls.
   /// Writes each sample's squared error to `sq_err` unless it is null.
   void AccumulateBatch(const double* x, size_t n, const int* actions,
                        const double* targets, double* sq_err);

@@ -188,6 +188,52 @@ TEST(MlpTest, TrainingIsBitIdentical) {
   EXPECT_EQ(h, 0xd3814fde4ba3982aULL);
 }
 
+TEST(MlpTest, ForwardBatchRowsMatchForward) {
+  // Every output row of the batched forward is bit-equal to Forward of its
+  // input row, on odd and even widths, odd batch sizes (the last row runs
+  // alone) and inputs scaled so some hidden units are dead. The network is
+  // trained a few steps first so biases are nonzero.
+  const std::vector<std::vector<size_t>> shapes = {
+      {7, 13, 11, 3}, {17, 17, 17, 8}, {33, 33, 33, 16}, {2, 1, 4}};
+  for (const std::vector<size_t>& shape : shapes) {
+    Rng init(41);
+    Mlp net(shape, &init);
+    Rng data(43);
+    const size_t dim = shape.front();
+    auto sample = [&data, dim]() {
+      std::vector<double> x(dim);
+      const double scale = data.Bernoulli(0.2) ? -20.0 : 1.0;
+      for (double& v : x) v = scale * data.Uniform(-1.0, 1.0);
+      return x;
+    };
+    for (int round = 0; round < 5; ++round) {
+      net.AccumulateGradient(sample(), 0, 1.0);
+      net.Step(1e-2, 1);
+    }
+    MlpWorkspace ws;
+    const size_t in_stride = BatchStride(dim);
+    const size_t out_stride = BatchStride(net.output_dim());
+    for (size_t n : {1, 2, 3, 45, 64}) {
+      std::vector<std::vector<double>> xs(n);
+      std::vector<double> rows(n * in_stride);
+      for (size_t s = 0; s < n; ++s) {
+        xs[s] = sample();
+        std::copy(xs[s].begin(), xs[s].end(), &rows[s * in_stride]);
+      }
+      const double* q = net.ForwardBatch(rows.data(), n, &ws);
+      for (size_t s = 0; s < n; ++s) {
+        const std::vector<double> want = net.Forward(xs[s]);
+        for (size_t a = 0; a < want.size(); ++a) {
+          ASSERT_EQ(std::bit_cast<uint64_t>(q[s * out_stride + a]),
+                    std::bit_cast<uint64_t>(want[a]))
+              << "shape " << shape.size() << "-layer in " << dim << ", n " << n
+              << ", row " << s << ", output " << a;
+        }
+      }
+    }
+  }
+}
+
 TEST(ReplayBufferTest, FifoEviction) {
   ReplayBuffer buf(3);
   for (int i = 0; i < 5; ++i) {
