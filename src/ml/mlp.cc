@@ -19,27 +19,28 @@ namespace {
 // registers, each wide enough that its independent sums hide the add
 // latency.
 
-// Two batch rows x0, x1 through V vectors of output columns: `wt` points at
-// the block's first column in the bias row, followed by `in_dim` weight rows
-// `stride` apart. Each output is its bias plus w_i * x_i for ascending i.
-template <size_t V>
-void ForwardBlock(const double* wt, size_t stride, size_t in_dim, const double* x0,
-                  const double* x1, double* y0, double* y1) {
-  __m128d a0[V], a1[V];
-  for (size_t v = 0; v < V; ++v) a0[v] = a1[v] = _mm_load_pd(wt + 2 * v);
+// R batch rows (one or two) through V vectors of output columns: `wt`
+// points at the block's first column in the bias row, followed by `in_dim`
+// weight rows `stride` apart. Each output is its bias plus w_i * x_i for
+// ascending i. Two rows share each weight load.
+template <size_t R, size_t V>
+void ForwardBlock(const double* wt, size_t stride, size_t in_dim, const double* const* x,
+                  double* const* y) {
+  __m128d a[R][V];
+  for (size_t r = 0; r < R; ++r) {
+    for (size_t v = 0; v < V; ++v) a[r][v] = _mm_load_pd(wt + 2 * v);
+  }
   for (size_t i = 0; i < in_dim; ++i) {
     const double* w = wt + (i + 1) * stride;
-    const __m128d b0 = _mm_set1_pd(x0[i]);
-    const __m128d b1 = _mm_set1_pd(x1[i]);
+    __m128d b[R];
+    for (size_t r = 0; r < R; ++r) b[r] = _mm_set1_pd(x[r][i]);
     for (size_t v = 0; v < V; ++v) {
       const __m128d wv = _mm_load_pd(w + 2 * v);
-      a0[v] = _mm_add_pd(a0[v], _mm_mul_pd(wv, b0));
-      a1[v] = _mm_add_pd(a1[v], _mm_mul_pd(wv, b1));
+      for (size_t r = 0; r < R; ++r) a[r][v] = _mm_add_pd(a[r][v], _mm_mul_pd(wv, b[r]));
     }
   }
-  for (size_t v = 0; v < V; ++v) {
-    _mm_storeu_pd(y0 + 2 * v, a0[v]);
-    _mm_storeu_pd(y1 + 2 * v, a1[v]);
+  for (size_t r = 0; r < R; ++r) {
+    for (size_t v = 0; v < V; ++v) _mm_storeu_pd(y[r] + 2 * v, a[r][v]);
   }
 }
 
@@ -59,19 +60,22 @@ void AddTermsBlock(double* acc, const double* rows, size_t stride, const uint32_
   for (size_t v = 0; v < V; ++v) _mm_store_pd(acc + 2 * v, a[v]);
 }
 
-using ForwardBlockFn = void (*)(const double*, size_t, size_t, const double*, const double*,
-                                double*, double*);
+using ForwardBlockFn = void (*)(const double*, size_t, size_t, const double* const*,
+                                double* const*);
 using AddTermsBlockFn = void (*)(double*, const double*, size_t, const uint32_t*,
                                  const double*, size_t);
 
-// Block widths in vectors: two rows of four (eight sums) in ForwardBlock,
-// eight in AddTermsBlock, within the sixteen SSE registers.
-constexpr ForwardBlockFn kForwardBlock[] = {nullptr, ForwardBlock<1>, ForwardBlock<2>,
-                                            ForwardBlock<3>, ForwardBlock<4>};
+// Block widths in vectors: up to eight sums (two rows of four, or one row
+// of eight) in ForwardBlock, eight in AddTermsBlock, within the sixteen SSE
+// registers. kForwardBlock[r - 1] runs r rows.
+constexpr ForwardBlockFn kForwardBlock[2][9] = {
+    {nullptr, ForwardBlock<1, 1>, ForwardBlock<1, 2>, ForwardBlock<1, 3>, ForwardBlock<1, 4>,
+     ForwardBlock<1, 5>, ForwardBlock<1, 6>, ForwardBlock<1, 7>, ForwardBlock<1, 8>},
+    {nullptr, ForwardBlock<2, 1>, ForwardBlock<2, 2>, ForwardBlock<2, 3>, ForwardBlock<2, 4>}};
+constexpr size_t kMaxForwardBlock[2] = {8, 4};
 constexpr AddTermsBlockFn kAddTermsBlock[] = {
     nullptr,          AddTermsBlock<1>, AddTermsBlock<2>, AddTermsBlock<3>, AddTermsBlock<4>,
     AddTermsBlock<5>, AddTermsBlock<6>, AddTermsBlock<7>, AddTermsBlock<8>};
-constexpr size_t kMaxForwardBlock = std::size(kForwardBlock) - 1;
 constexpr size_t kMaxAddTermsBlock = std::size(kAddTermsBlock) - 1;
 
 // Calls fn(first vector, width) over `nvec` vectors cut into the fewest
@@ -213,18 +217,16 @@ void LinearLayer::Forward(const std::vector<double>& x, std::vector<double>* y) 
 }
 
 void LinearLayer::ForwardBatch(const double* x, size_t n, double* y) const {
-  // Two rows at a time share each weight load; an odd last row is run as
-  // both rows of the pair.
+  // Two rows at a time share each weight load; an odd last row runs alone.
   const size_t istride = BatchStride(in_dim_);
   const size_t ostride = BatchStride(out_dim_);
   for (size_t s = 0; s < n; s += 2) {
-    const size_t s1 = s + 1 < n ? s + 1 : s;
-    const double* x0 = x + s * istride;
-    const double* x1 = x + s1 * istride;
-    double* y0 = y + s * ostride;
-    double* y1 = y + s1 * ostride;
-    ForEachBlock(ostride / 2, kMaxForwardBlock, [&](size_t v, size_t width) {
-      kForwardBlock[width](&wt_[2 * v], ostride, in_dim_, x0, x1, y0 + 2 * v, y1 + 2 * v);
+    const size_t rows = std::min<size_t>(2, n - s);
+    const double* xs[2] = {x + s * istride, x + (s + 1) * istride};
+    double* ys[2] = {y + s * ostride, y + (s + 1) * ostride};
+    ForEachBlock(ostride / 2, kMaxForwardBlock[rows - 1], [&](size_t v, size_t width) {
+      double* yv[2] = {ys[0] + 2 * v, ys[1] + 2 * v};
+      kForwardBlock[rows - 1][width](&wt_[2 * v], ostride, in_dim_, xs, yv);
     });
   }
 }
